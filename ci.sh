@@ -3,7 +3,8 @@
 # suite under forced parallelism, the no-panic fuzz gate (reproducible
 # seed), the failpoint matrix, the parinda-lint static-analysis pass
 # (never-crash / determinism / lock-discipline / failpoint-coverage
-# contracts), its fixture corpus, and a smoke run of the E8 bench.
+# contracts), its fixture corpus, the API-surface grep gate, a smoke run
+# of the E8 bench, and a one-round run of the benchmark workspace.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -12,6 +13,25 @@ cargo build --release
 
 echo "==> warnings-as-errors build"
 RUSTFLAGS="-D warnings" cargo build --workspace
+
+echo "==> API-surface gate (one entry point per job: no suffixed siblings, no too_many_arguments on a pub fn)"
+# The advisor's entry points take what varies in RunCtx / AdviseRequest /
+# their option structs (DESIGN.md, "API surface"). A new `foo_traced` next
+# to `foo`, or a pub fn that needs the clippy allowance, is the variant
+# explosion coming back.
+surface=(crates/parallel/src crates/inum/src crates/advisor/src crates/core/src)
+if grep -rnE 'pub fn \w+_(traced|budgeted|par|constrained|shared|weighted)\b' "${surface[@]}"; then
+    echo "suffixed sibling entry point: add a field to RunCtx/AdviseRequest or a parameter to the one function instead"
+    exit 1
+fi
+if find "${surface[@]}" -name '*.rs' -print0 | xargs -0 awk '
+    /allow\(clippy::too_many_arguments\)/ { armed = 1; next }
+    armed && /^[[:space:]]*(#\[|\/\/)/ { next }
+    armed { if ($0 ~ /^[[:space:]]*pub fn /) { print FILENAME ":" FNR ": " $0; bad = 1 } armed = 0 }
+    END { exit !bad }'; then
+    echo "pub fn under #[allow(clippy::too_many_arguments)]: group the parameters into the request/context structs"
+    exit 1
+fi
 
 echo "==> tier-1: tests (whole workspace; includes the lint fixture corpus)"
 cargo test -q --workspace
@@ -320,5 +340,8 @@ assert d["matrix_nnz"] < 0.2 * d["dense_cells"], (d["matrix_nnz"], d["dense_cell
 # the greedy incumbent never makes the search do more work
 assert d["solver_nodes_warm"] <= d["solver_nodes_cold"]
 PYEOF
+
+echo "==> benchmark --quick (the benchmark is a workspace of its own: compile its adapter against the library, check every reply against benchmark/expected/)"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick
 
 echo "==> ci green"

@@ -10,9 +10,9 @@
 
 use parinda_catalog::{Catalog, MetadataProvider, TableId};
 use parinda_optimizer::{bind, plan_query, CostParams, PlannerFlags};
-use parinda_parallel::{par_map, par_map_indexed, Budget, BudgetReport, Parallelism};
+use parinda_parallel::{par_map, par_map_indexed, BudgetReport, RunCtx};
 use parinda_sql::Select;
-use parinda_trace::{Counter, Trace};
+use parinda_trace::Counter;
 use parinda_whatif::{HypotheticalCatalog, WhatIfPartition};
 
 use crate::fragments::{atomic_fragments, replication_overhead, Fragment};
@@ -94,58 +94,27 @@ impl std::fmt::Display for AdvisorError {
 
 impl std::error::Error for AdvisorError {}
 
-/// Run AutoPart over a workload with auto-detected parallelism.
+/// Run AutoPart over a workload under `ctx`.
+///
+/// Each round's candidate designs are evaluated concurrently on
+/// `ctx.par` against a read-only snapshot of the cost memo; per-design
+/// costs are pure, and both the memo merge and the round-winner selection
+/// happen on the caller's thread in candidate order, so the suggested
+/// design is identical at any thread count.
+///
+/// `ctx.budget` is checked at the top of every improvement round (a round
+/// cap counts improvement rounds), and an interrupted run returns the
+/// best design found so far, flagged `degraded: true`. The run records an
+/// `autopart_rounds` span (plus one `autopart_rounds/round` span per
+/// improvement round) in `ctx.trace` and counts candidate designs
+/// evaluated. Tracing never influences the suggested design.
 pub fn suggest_partitions(
     catalog: &Catalog,
     workload: &[Select],
     config: AutoPartConfig,
+    ctx: &RunCtx,
 ) -> Result<PartitionSuggestion, AdvisorError> {
-    suggest_partitions_par(catalog, workload, config, Parallelism::auto())
-}
-
-/// Run AutoPart over a workload with an explicit thread-count policy.
-///
-/// Each round's candidate designs are evaluated concurrently against a
-/// read-only snapshot of the cost memo; per-design costs are pure, and
-/// both the memo merge and the round-winner selection happen on the
-/// caller's thread in candidate order, so the suggested design is
-/// identical at any thread count.
-pub fn suggest_partitions_par(
-    catalog: &Catalog,
-    workload: &[Select],
-    config: AutoPartConfig,
-    par: Parallelism,
-) -> Result<PartitionSuggestion, AdvisorError> {
-    suggest_partitions_budgeted(catalog, workload, config, par, &Budget::unlimited())
-}
-
-/// [`suggest_partitions_par`] under a [`Budget`]: the budget is checked
-/// at the top of every improvement round (a round cap counts improvement
-/// rounds), and an interrupted run returns the best design found so far,
-/// flagged `degraded: true`. With an unlimited budget this is exactly
-/// [`suggest_partitions_par`] — bit-identical output.
-pub fn suggest_partitions_budgeted(
-    catalog: &Catalog,
-    workload: &[Select],
-    config: AutoPartConfig,
-    par: Parallelism,
-    budget: &Budget,
-) -> Result<PartitionSuggestion, AdvisorError> {
-    suggest_partitions_traced(catalog, workload, config, par, budget, &Trace::disabled())
-}
-
-/// [`suggest_partitions_budgeted`] with an observability handle: the run
-/// records an `autopart_rounds` span (plus one `autopart_rounds/round`
-/// span per improvement round) and counts candidate designs evaluated.
-/// Tracing never influences the suggested design.
-pub fn suggest_partitions_traced(
-    catalog: &Catalog,
-    workload: &[Select],
-    config: AutoPartConfig,
-    par: Parallelism,
-    budget: &Budget,
-    trace: &Trace,
-) -> Result<PartitionSuggestion, AdvisorError> {
+    let (par, budget, trace) = (ctx.par, &ctx.budget, &ctx.trace);
     let _span = trace.span("autopart_rounds");
     let params = CostParams::default();
     let flags = PlannerFlags::default();

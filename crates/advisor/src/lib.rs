@@ -18,19 +18,11 @@ pub mod greedy_index;
 pub mod ilp_index;
 pub mod rewrite;
 
-pub use autopart::{
-    suggest_partitions, suggest_partitions_budgeted, suggest_partitions_par,
-    suggest_partitions_traced, AdvisorError, AutoPartConfig, PartitionSuggestion,
-};
+pub use autopart::{suggest_partitions, AdvisorError, AutoPartConfig, PartitionSuggestion};
 pub use candidates::{generate_candidates, CandidateLimits};
 pub use fragments::{atomic_fragments, replication_overhead, Fragment};
-pub use greedy_index::{
-    select_indexes_greedy, select_indexes_greedy_budgeted, select_indexes_greedy_constrained,
-    select_indexes_greedy_static,
-};
+pub use greedy_index::{select_indexes_greedy, select_indexes_greedy_static};
 pub use ilp_index::{
-    index_update_cost, select_indexes_ilp, select_indexes_ilp_budgeted,
-    select_indexes_ilp_constrained, select_indexes_ilp_with, IlpOptions, IndexSelection,
-    SolverConstraints,
+    index_update_cost, select_indexes_ilp, IlpOptions, IndexSelection, SolverConstraints,
 };
 pub use rewrite::{rewrite_select, NamedFragment, PartitionDesign, RewriteError};

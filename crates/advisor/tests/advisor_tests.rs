@@ -3,12 +3,13 @@
 
 use parinda_advisor::{
     atomic_fragments, generate_candidates, rewrite_select, select_indexes_greedy,
-    select_indexes_ilp, suggest_partitions, AutoPartConfig, CandidateLimits, Fragment,
-    NamedFragment, PartitionDesign,
+    select_indexes_ilp, suggest_partitions, AutoPartConfig, CandidateLimits, Fragment, IlpOptions,
+    NamedFragment, PartitionDesign, SolverConstraints,
 };
 use parinda_catalog::{analyze_column, Catalog, Column, Datum, MetadataProvider, SqlType};
-use parinda_inum::InumModel;
+use parinda_inum::{InumModel, InumOptions};
 use parinda_optimizer::{bind, CostParams};
+use parinda_parallel::{Budget, RunCtx};
 use parinda_sql::{parse_select, Select};
 use parinda_whatif::{HypotheticalCatalog, WhatIfPartition};
 
@@ -171,7 +172,14 @@ fn ilp_selection_improves_workload_and_respects_budget() {
     assert!(cands.len() >= 5, "expected a healthy candidate pool, got {}", cands.len());
 
     let budget = 200 * 1024 * 1024; // generous
-    let sel = select_indexes_ilp(&mut model, &cands, budget);
+    let sel = select_indexes_ilp(
+        &mut model,
+        &cands,
+        budget,
+        &IlpOptions::default(),
+        &SolverConstraints::none(),
+        &Budget::unlimited(),
+    );
     assert!(!sel.chosen.is_empty());
     assert!(sel.total_size <= budget);
     assert!(
@@ -194,7 +202,14 @@ fn tight_budget_limits_ilp_choice() {
     let mut model = InumModel::build(&c, &wl, CostParams::default()).unwrap();
     let queries = model.queries().to_vec();
     let cands = generate_candidates(&queries, CandidateLimits::default());
-    let sel = select_indexes_ilp(&mut model, &cands, 8 * 1024 * 1024); // 8 MB
+    let sel = select_indexes_ilp(
+        &mut model,
+        &cands,
+        8 * 1024 * 1024, // 8 MB
+        &IlpOptions::default(),
+        &SolverConstraints::none(),
+        &Budget::unlimited(),
+    );
     assert!(sel.total_size <= 8 * 1024 * 1024);
 }
 
@@ -205,7 +220,14 @@ fn zero_budget_selects_nothing() {
     let mut model = InumModel::build(&c, &wl, CostParams::default()).unwrap();
     let queries = model.queries().to_vec();
     let cands = generate_candidates(&queries, CandidateLimits::default());
-    let sel = select_indexes_ilp(&mut model, &cands, 0);
+    let sel = select_indexes_ilp(
+        &mut model,
+        &cands,
+        0,
+        &IlpOptions::default(),
+        &SolverConstraints::none(),
+        &Budget::unlimited(),
+    );
     assert!(sel.chosen.is_empty());
     assert_eq!(sel.cost_before, sel.cost_after);
 }
@@ -220,9 +242,22 @@ fn ilp_at_least_matches_greedy() {
     };
     for budget in [16u64 * 1024 * 1024, 64 * 1024 * 1024, 256 * 1024 * 1024] {
         let mut m1 = InumModel::build(&c, &wl, CostParams::default()).unwrap();
-        let ilp = select_indexes_ilp(&mut m1, &cands, budget);
+        let ilp = select_indexes_ilp(
+            &mut m1,
+            &cands,
+            budget,
+            &IlpOptions::default(),
+            &SolverConstraints::none(),
+            &Budget::unlimited(),
+        );
         let mut m2 = InumModel::build(&c, &wl, CostParams::default()).unwrap();
-        let greedy = select_indexes_greedy(&mut m2, &cands, budget);
+        let greedy = select_indexes_greedy(
+            &mut m2,
+            &cands,
+            budget,
+            &SolverConstraints::none(),
+            &Budget::unlimited(),
+        );
         assert!(
             ilp.cost_after <= greedy.cost_after * 1.02,
             "budget {budget}: ilp {} vs greedy {}",
@@ -250,7 +285,13 @@ fn narrow_workload() -> Vec<Select> {
 #[test]
 fn autopart_improves_narrow_scans() {
     let c = catalog();
-    let sugg = suggest_partitions(&c, &narrow_workload(), AutoPartConfig::default()).unwrap();
+    let sugg = suggest_partitions(
+        &c,
+        &narrow_workload(),
+        AutoPartConfig::default(),
+        &RunCtx::default(),
+    )
+    .unwrap();
     assert!(
         sugg.speedup() > 1.3,
         "partitioning should pay off on narrow scans over a wide table: \
@@ -276,7 +317,7 @@ fn autopart_improves_narrow_scans() {
 fn autopart_converges() {
     let c = catalog();
     let cfg = AutoPartConfig { max_iterations: 64, ..Default::default() };
-    let sugg = suggest_partitions(&c, &narrow_workload(), cfg).unwrap();
+    let sugg = suggest_partitions(&c, &narrow_workload(), cfg, &RunCtx::default()).unwrap();
     assert!(sugg.iterations < 64, "did not converge: {}", sugg.iterations);
 }
 
@@ -286,7 +327,7 @@ fn autopart_respects_replication_limit() {
     // no extra space allowed at all: merging may still happen (merging
     // *reduces* overhead) but the final design must fit
     let cfg = AutoPartConfig { replication_limit_bytes: 0, ..Default::default() };
-    let sugg = suggest_partitions(&c, &narrow_workload(), cfg).unwrap();
+    let sugg = suggest_partitions(&c, &narrow_workload(), cfg, &RunCtx::default()).unwrap();
     if !sugg.design.is_empty() {
         let frags: Vec<Fragment> =
             sugg.design.fragments.iter().map(|f| f.fragment.clone()).collect();
@@ -306,7 +347,8 @@ fn autopart_noop_on_fully_covered_table() {
     // every query reads every specobj column -> single atomic fragment,
     // nothing to partition
     let wl = vec![parse_select("SELECT * FROM specobj WHERE z > 0.5").unwrap()];
-    let sugg = suggest_partitions(&c, &wl, AutoPartConfig::default()).unwrap();
+    let sugg =
+        suggest_partitions(&c, &wl, AutoPartConfig::default(), &RunCtx::default()).unwrap();
     assert!(sugg.design.fragments_for(c.table_by_name("specobj").unwrap().id).is_empty());
     assert_eq!(sugg.cost_before, sugg.cost_after);
 }
@@ -340,7 +382,14 @@ fn ilp_beats_classic_greedy_at_tight_budget() {
     // catalog and statistics are deterministic)
     let budget = 1920 * 1024 * 1024;
     let mut m1 = InumModel::build(&cat, &wl, CostParams::default()).unwrap();
-    let ilp = select_indexes_ilp(&mut m1, &cands, budget);
+    let ilp = select_indexes_ilp(
+        &mut m1,
+        &cands,
+        budget,
+        &IlpOptions::default(),
+        &SolverConstraints::none(),
+        &Budget::unlimited(),
+    );
     let mut m2 = InumModel::build(&cat, &wl, CostParams::default()).unwrap();
     let classic = select_indexes_greedy_static(&mut m2, &cands, budget);
     let gap = (classic.cost_after - ilp.cost_after) / classic.cost_after;
@@ -366,7 +415,14 @@ fn static_greedy_never_beats_ilp() {
     for mb in [300u64, 900, 1500] {
         let budget = mb * 1024 * 1024;
         let mut m1 = InumModel::build(&cat, &wl, CostParams::default()).unwrap();
-        let ilp = select_indexes_ilp(&mut m1, &cands, budget);
+        let ilp = select_indexes_ilp(
+            &mut m1,
+            &cands,
+            budget,
+            &IlpOptions::default(),
+            &SolverConstraints::none(),
+            &Budget::unlimited(),
+        );
         let mut m2 = InumModel::build(&cat, &wl, CostParams::default()).unwrap();
         let classic = select_indexes_greedy_static(&mut m2, &cands, budget);
         assert!(
@@ -392,12 +448,13 @@ fn autopart_merges_toward_tight_replication_budget() {
         let _ = &cat;
         cat.all_tables().iter().map(|t| t.pages * 8192).sum::<u64>()
     };
-    let unlimited = suggest_partitions(&cat, &wl, AutoPartConfig::default()).unwrap();
+    let unlimited =
+        suggest_partitions(&cat, &wl, AutoPartConfig::default(), &RunCtx::default()).unwrap();
     let cfg = AutoPartConfig {
         replication_limit_bytes: (base / 10) as i64,
         ..Default::default()
     };
-    let tight = suggest_partitions(&cat, &wl, cfg).unwrap();
+    let tight = suggest_partitions(&cat, &wl, cfg, &RunCtx::default()).unwrap();
     let frags: Vec<Fragment> =
         tight.design.fragments.iter().map(|f| f.fragment.clone()).collect();
     assert!(
@@ -419,7 +476,6 @@ fn autopart_merges_toward_tight_replication_budget() {
 
 #[test]
 fn weights_steer_the_selection() {
-    use parinda_advisor::{select_indexes_ilp_with, IlpOptions};
     let c = catalog();
     // two queries wanting different indexes; budget fits only one index
     let wl: Vec<Select> = [
@@ -436,21 +492,37 @@ fn weights_steer_the_selection() {
     let photo = c.table_by_name("photoobj").unwrap().clone();
     let one_index = cands[0].size_bytes(&photo) + cands[0].size_bytes(&photo) / 4;
 
+    let weighted = |weights: &[f64]| {
+        InumModel::build_in(
+            &c,
+            &wl,
+            Some(weights),
+            CostParams::default(),
+            InumOptions::default(),
+            None,
+            &RunCtx::default(),
+        )
+        .unwrap()
+    };
     // weight query 0 heavily -> its index (objid) must win
-    let mut m1 = InumModel::build(&c, &wl, CostParams::default()).unwrap();
-    let s1 = select_indexes_ilp_with(
+    let mut m1 = weighted(&[100.0, 1.0]);
+    let s1 = select_indexes_ilp(
         &mut m1,
         &cands,
         one_index,
-        &IlpOptions { weights: Some(vec![100.0, 1.0]), ..Default::default() },
+        &IlpOptions::default(),
+        &SolverConstraints::none(),
+        &Budget::unlimited(),
     );
     // weight query 1 heavily -> the ra index must win
-    let mut m2 = InumModel::build(&c, &wl, CostParams::default()).unwrap();
-    let s2 = select_indexes_ilp_with(
+    let mut m2 = weighted(&[1.0, 100.0]);
+    let s2 = select_indexes_ilp(
         &mut m2,
         &cands,
         one_index,
-        &IlpOptions { weights: Some(vec![1.0, 100.0]), ..Default::default() },
+        &IlpOptions::default(),
+        &SolverConstraints::none(),
+        &Budget::unlimited(),
     );
     assert!(!s1.chosen.is_empty() && !s2.chosen.is_empty());
     let cols1 = m1.candidate(s1.chosen[0]).columns.clone();
@@ -461,7 +533,7 @@ fn weights_steer_the_selection() {
 
 #[test]
 fn update_cost_limit_excludes_hot_table_indexes() {
-    use parinda_advisor::{index_update_cost, select_indexes_ilp_with, IlpOptions};
+    use parinda_advisor::index_update_cost;
     use std::collections::HashMap;
     let c = catalog();
     let wl = workload();
@@ -475,18 +547,20 @@ fn update_cost_limit_excludes_hot_table_indexes() {
 
     // without the cap: photoobj indexes get chosen
     let mut m1 = InumModel::build(&c, &wl, CostParams::default()).unwrap();
-    let free = select_indexes_ilp_with(
+    let free = select_indexes_ilp(
         &mut m1,
         &cands,
         1 << 34,
         &IlpOptions { update_rates: rates.clone(), ..Default::default() },
+        &SolverConstraints::none(),
+        &Budget::unlimited(),
     );
     let photo_picked = free.chosen.iter().any(|&id| m1.candidate(id).table == photo);
     assert!(photo_picked);
 
     // with a cap of zero update cost: no photoobj index may be built
     let mut m2 = InumModel::build(&c, &wl, CostParams::default()).unwrap();
-    let capped = select_indexes_ilp_with(
+    let capped = select_indexes_ilp(
         &mut m2,
         &cands,
         1 << 34,
@@ -495,6 +569,8 @@ fn update_cost_limit_excludes_hot_table_indexes() {
             update_rates: rates.clone(),
             ..Default::default()
         },
+        &SolverConstraints::none(),
+        &Budget::unlimited(),
     );
     for &id in &capped.chosen {
         assert_ne!(

@@ -9,6 +9,7 @@ use parinda::{AutoPartConfig, Parallelism, SelectionMethod};
 use parinda_bench::{paper_session, workload};
 use parinda_inum::{InumModel, InumOptions};
 use parinda_optimizer::CostParams;
+use parinda_parallel::RunCtx;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -47,12 +48,14 @@ fn bench(c: &mut Criterion) {
     for threads in THREADS {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
             b.iter(|| {
-                InumModel::build_par(
+                InumModel::build_in(
                     session.catalog(),
                     &wl,
+                    None,
                     CostParams::default(),
                     InumOptions::default(),
-                    Parallelism::fixed(t),
+                    None,
+                    &RunCtx { par: Parallelism::fixed(t), ..RunCtx::default() },
                 )
                 .unwrap()
             })

@@ -13,21 +13,21 @@ use parinda_bench::{paper_session, workload};
 use parinda_catalog::MetadataProvider;
 use parinda_inum::{CandidateIndex, Configuration, InumModel, InumOptions};
 use parinda_optimizer::CostParams;
-use parinda_parallel::{Budget, Parallelism};
+use parinda_parallel::{Parallelism, RunCtx};
 
 fn traced_model(
     session: &parinda::Parinda,
     trace: Trace,
 ) -> (InumModel<'_>, Vec<Configuration>, usize) {
     let wl = workload();
-    let mut model = InumModel::build_budgeted_traced(
+    let mut model = InumModel::build_in(
         session.catalog(),
         &wl,
+        None,
         CostParams::default(),
         InumOptions::default(),
-        Parallelism::fixed(1),
-        &Budget::unlimited(),
-        trace,
+        None,
+        &RunCtx { par: Parallelism::fixed(1), trace, ..RunCtx::default() },
     )
     .expect("inum build");
     let photo = session.catalog().table_by_name("photoobj").unwrap().id;

@@ -15,6 +15,7 @@ use parinda_bench::{execute_workload, laptop_session, paper_session, workload, T
 use parinda_catalog::MetadataProvider;
 use parinda_inum::{CandidateIndex, Configuration, InumModel};
 use parinda_optimizer::CostParams;
+use parinda_parallel::{Budget, RunCtx};
 use parinda_whatif::{simulate_index, HypotheticalCatalog};
 use parinda_workload::generate_queries;
 
@@ -212,7 +213,7 @@ fn e4_ilp_vs_greedy() {
     );
     use parinda_advisor::{
         generate_candidates, select_indexes_greedy, select_indexes_greedy_static,
-        select_indexes_ilp, CandidateLimits,
+        select_indexes_ilp, CandidateLimits, IlpOptions, SolverConstraints,
     };
     let session = paper_session();
     let wl = workload();
@@ -233,9 +234,22 @@ fn e4_ilp_vs_greedy() {
     for mb in [400u64, 800, 1200, 1800, 2120] {
         let budget = mb * 1024 * 1024;
         let mut m1 = InumModel::build(session.catalog(), &wl, CostParams::default()).unwrap();
-        let ilp = select_indexes_ilp(&mut m1, &cands, budget);
+        let ilp = select_indexes_ilp(
+            &mut m1,
+            &cands,
+            budget,
+            &IlpOptions::default(),
+            &SolverConstraints::none(),
+            &Budget::unlimited(),
+        );
         let mut m2 = InumModel::build(session.catalog(), &wl, CostParams::default()).unwrap();
-        let ga = select_indexes_greedy(&mut m2, &cands, budget);
+        let ga = select_indexes_greedy(
+            &mut m2,
+            &cands,
+            budget,
+            &SolverConstraints::none(),
+            &Budget::unlimited(),
+        );
         let mut m3 = InumModel::build(session.catalog(), &wl, CostParams::default()).unwrap();
         let gc = select_indexes_greedy_static(&mut m3, &cands, budget);
         let gap = |g: f64| (g - ilp.cost_after) / g * 100.0;
@@ -433,12 +447,14 @@ fn e8_parallel_scaling() {
         let t0 = Instant::now();
         let reps = 5;
         for _ in 0..reps {
-            InumModel::build_par(
+            InumModel::build_in(
                 session.catalog(),
                 &wl,
+                None,
                 CostParams::default(),
                 InumOptions::default(),
-                par,
+                None,
+                &RunCtx { par, ..RunCtx::default() },
             )
             .unwrap();
         }
@@ -502,8 +518,16 @@ fn a1_inum_ablation() {
     let mut t = Table::new(&["variant", "build time", "mean err", "worst err"]);
     for (name, opts) in variants {
         let t0 = Instant::now();
-        let mut model =
-            InumModel::build_with(session.catalog(), &wl, CostParams::default(), opts).unwrap();
+        let mut model = InumModel::build_in(
+            session.catalog(),
+            &wl,
+            None,
+            CostParams::default(),
+            opts,
+            None,
+            &RunCtx::default(),
+        )
+        .unwrap();
         let build = t0.elapsed();
 
         let cands: Vec<_> = [

@@ -18,7 +18,7 @@ use parinda::{
 use parinda_catalog::MetadataProvider;
 use parinda_inum::{CandidateIndex, Configuration, InumModel, InumOptions};
 use parinda_optimizer::CostParams;
-use parinda_parallel::Budget;
+use parinda_parallel::RunCtx;
 
 use crate::{paper_session, workload, Table};
 
@@ -139,14 +139,14 @@ pub fn e3_run() -> E3Run {
     let t0 = Instant::now();
     let mut model = {
         let _s = trace.span("inum_build");
-        InumModel::build_budgeted_traced(
+        InumModel::build_in(
             session.catalog(),
             &wl,
+            None,
             CostParams::default(),
             InumOptions::default(),
-            Parallelism::fixed(1),
-            &Budget::unlimited(),
-            trace.clone(),
+            None,
+            &RunCtx { par: Parallelism::fixed(1), trace: trace.clone(), ..RunCtx::default() },
         )
         .expect("inum build")
     };

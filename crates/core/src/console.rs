@@ -15,8 +15,9 @@ use parinda_workload::{
     generate_and_load, parse_workload, sdss_catalog, sdss_workload, synthesize_stats, SdssScale,
 };
 
-use crate::session::{guard, IndexSuggestion, Parinda, ParindaError, SelectionMethod};
-use parinda_advisor::IlpOptions;
+use crate::session::{
+    guard, AdviseRequest, IndexSuggestion, Parinda, ParindaError, SelectionMethod,
+};
 use parinda_parallel::{CancelToken, Parallelism};
 use parinda_stream::{ConstraintStore, StreamAccumulator, WEIGHT_SCALE};
 use parinda_trace::{Counter, Trace};
@@ -622,8 +623,7 @@ impl Console {
                         })
                         .collect(),
                 };
-                let compressed =
-                    parinda_workload::compress_workload_traced(&wl, &self.trace);
+                let compressed = parinda_workload::compress_workload(&wl, &self.trace);
                 Ok(format!(
                     "workload: {} statements, {} templates ({} merged), total weight {:.0}, compression {:.1}x",
                     compressed.raw_statements,
@@ -836,27 +836,12 @@ impl Console {
                 if self.workload.is_empty() {
                     return Err(ParindaError::Advisor("no workload loaded".into()));
                 }
-                // With pins/bans standing, route through the constrained
-                // solver; the unconstrained path is kept bit-identical.
-                let result = if self.constraints.is_empty() {
-                    s.suggest_indexes(&self.workload, budget_mb << 20, method)
-                } else {
-                    let weights = vec![1.0; self.workload.len()];
-                    let pinned: Vec<String> =
-                        self.constraints.pinned().map(str::to_string).collect();
-                    let banned: Vec<String> =
-                        self.constraints.banned().map(str::to_string).collect();
-                    s.suggest_indexes_stream(
-                        &self.workload,
-                        &weights,
-                        None,
-                        budget_mb << 20,
-                        method,
-                        &IlpOptions::default(),
-                        &pinned,
-                        &banned,
-                    )
-                };
+                let (pinned, banned) = self.standing_constraints();
+                let result = s.advise(&AdviseRequest {
+                    pinned: &pinned,
+                    banned: &banned,
+                    ..AdviseRequest::new(&self.workload, budget_mb << 20, method)
+                });
                 // the cancel flag is consumed by one advisor run
                 self.cancel.reset();
                 let sugg = result?;
@@ -994,6 +979,14 @@ impl Console {
         }
     }
 
+    /// The DBA's standing pins and bans, as [`AdviseRequest`] takes them.
+    fn standing_constraints(&self) -> (Vec<String>, Vec<String>) {
+        (
+            self.constraints.pinned().map(str::to_string).collect(),
+            self.constraints.banned().map(str::to_string).collect(),
+        )
+    }
+
     /// Advise over the stream accumulator's current templates under the
     /// standing constraints, delta-maintaining the INUM model from the
     /// previous advised epoch's templates when there is one.
@@ -1009,20 +1002,14 @@ impl Console {
         }
         let queries = self.stream.queries();
         let weights = self.stream.weights();
-        let pinned: Vec<String> = self.constraints.pinned().map(str::to_string).collect();
-        let banned: Vec<String> = self.constraints.banned().map(str::to_string).collect();
-        let previous =
-            self.advised_templates.as_ref().map(|(q, w)| (q.as_slice(), w.as_slice()));
-        let result = s.suggest_indexes_stream(
-            &queries,
-            &weights,
-            previous,
-            self.stream_budget_mb << 20,
-            SelectionMethod::Ilp,
-            &IlpOptions::default(),
-            &pinned,
-            &banned,
-        );
+        let (pinned, banned) = self.standing_constraints();
+        let result = s.advise(&AdviseRequest {
+            weights: Some(&weights),
+            previous: self.advised_templates.as_ref().map(|(q, w)| (q.as_slice(), w.as_slice())),
+            pinned: &pinned,
+            banned: &banned,
+            ..AdviseRequest::new(&queries, self.stream_budget_mb << 20, SelectionMethod::Ilp)
+        });
         // the cancel flag is consumed by one advisor run
         self.cancel.reset();
         let sugg = result?;

@@ -12,6 +12,8 @@
 //! * **Automatic index suggestion** — [`Parinda::suggest_indexes`]: ILP
 //!   over the INUM cached cost model (or the greedy baseline), under a
 //!   storage budget, with the option to materialize the result.
+//!   [`Parinda::advise`] takes the full [`AdviseRequest`] (weights,
+//!   incremental re-advice, pins and bans).
 //! * **Automatic partition suggestion** — [`Parinda::suggest_partitions`]:
 //!   AutoPart with automatic query rewriting.
 //!
@@ -50,8 +52,9 @@ pub mod verify;
 pub use console::{is_state_mutating, parse_command, Command, Console, ConsoleReply, HELP};
 pub use report::{BenefitReport, QueryBenefit};
 pub use session::{
-    guard, DropSuggestion, IndexSuggestion, Parinda, ParindaError, PartitionSuggestionReport,
-    SelectionMethod, SessionState, SharedEngine, SuggestedIndex, SuggestedPartition,
+    guard, AdviseRequest, DropSuggestion, IndexSuggestion, Parinda, ParindaError,
+    PartitionSuggestionReport, SelectionMethod, SessionState, SharedEngine, SuggestedIndex,
+    SuggestedPartition,
 };
 pub use verify::{verify_whatif_index, Verification};
 

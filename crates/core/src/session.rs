@@ -20,14 +20,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parinda_advisor::{
-    generate_candidates, select_indexes_greedy_constrained, select_indexes_ilp_constrained,
-    suggest_partitions_traced, AutoPartConfig, CandidateLimits, IlpOptions, PartitionDesign,
-    SolverConstraints,
+    generate_candidates, select_indexes_greedy, select_indexes_ilp, suggest_partitions,
+    AutoPartConfig, CandidateLimits, IlpOptions, PartitionDesign, SolverConstraints,
 };
 use parinda_catalog::{Catalog, IndexId, MetadataProvider};
 use parinda_inum::{CandidateIndex, Configuration, InumModel, InumOptions, SharedPlanCache};
 use parinda_optimizer::{bind, explain, plan_query, CostParams, PlannerFlags};
-use parinda_parallel::{Budget, BudgetReport, CancelToken, Parallelism};
+use parinda_parallel::{Budget, BudgetReport, CancelToken, Parallelism, RunCtx};
 use parinda_sql::Select;
 use parinda_storage::Database;
 use parinda_trace::{Counter, Trace};
@@ -200,6 +199,59 @@ pub fn guard<T>(f: impl FnOnce() -> Result<T, ParindaError>) -> Result<T, Parind
         Ok(r) => r,
         Err(payload) => {
             Err(ParindaError::Internal(parinda_parallel::panic_message(&*payload)))
+        }
+    }
+}
+
+/// One index-advice request: everything [`Parinda::advise`] needs besides
+/// the session's own state (catalog, threads, budgets, trace).
+#[derive(Debug, Clone)]
+pub struct AdviseRequest<'a> {
+    /// The statements (or, for a compressed/streamed workload, the
+    /// templates) to advise over.
+    pub workload: &'a [Select],
+    /// A multiplicity per statement (template weights from workload
+    /// compression); `None` = every statement counts once. The INUM model
+    /// is built weighted — budgeted cache population covers the heaviest
+    /// templates first — and every reported cost is the weighted sum.
+    /// Both selection methods honour the weights; all 1.0 is
+    /// bit-identical to `None`.
+    pub weights: Option<&'a [f64]>,
+    /// Continuous tuning: the previous epoch's templates and weights.
+    /// When given, the INUM model is maintained incrementally via
+    /// [`InumModel::apply_delta`] — only new-or-vanished templates are
+    /// re-bound/re-populated; everything carried over is bit-identical to
+    /// a from-scratch weighted build.
+    pub previous: Option<(&'a [Select], &'a [f64])>,
+    /// Storage budget for the suggested indexes, in bytes.
+    pub budget_bytes: u64,
+    /// ILP (the paper's technique) or the greedy baseline.
+    pub method: SelectionMethod,
+    /// The paper's additional DBA constraints (update-cost cap) and the
+    /// ILP's reference/ablation switches; only the ILP reads them.
+    pub options: IlpOptions,
+    /// Index names forced into the design, budget-first: the
+    /// `idx_<table>_<cols>` display form, a real catalog index name, or
+    /// an explicit `table(col, col)` spec.
+    pub pinned: &'a [String],
+    /// Index names (same spellings) that never enter the solver's search
+    /// space.
+    pub banned: &'a [String],
+}
+
+impl<'a> AdviseRequest<'a> {
+    /// The default request: unweighted, from scratch, default options,
+    /// nothing pinned or banned.
+    pub fn new(workload: &'a [Select], budget_bytes: u64, method: SelectionMethod) -> Self {
+        AdviseRequest {
+            workload,
+            weights: None,
+            previous: None,
+            budget_bytes,
+            method,
+            options: IlpOptions::default(),
+            pinned: &[],
+            banned: &[],
         }
     }
 }
@@ -558,12 +610,12 @@ impl Parinda {
         self.state.trace = trace;
     }
 
-    /// Anchor a [`Budget`] for one advisor call: deadline measured from
-    /// *now* — the session's own wall-clock budget min'd against the
-    /// engine-wide admission cap — with the round cap and cancel token
-    /// attached. Without an engine cap this is exactly the standalone
-    /// REPL budget, bit for bit.
-    fn start_budget(&self) -> Budget {
+    /// The [`RunCtx`] of one advisor call: the session's threads and
+    /// trace, and a [`Budget`] anchored *now* — the session's own
+    /// wall-clock budget min'd against the engine-wide admission cap —
+    /// with the round cap and cancel token attached. Without an engine cap
+    /// this is exactly the standalone REPL budget, bit for bit.
+    fn run_ctx(&self) -> RunCtx {
         let ms = match (self.state.budget_ms, self.core.max_budget_ms) {
             (Some(own), Some(cap)) => Some(own.min(cap)),
             (own, cap) => own.or(cap),
@@ -575,7 +627,11 @@ impl Parinda {
         if let Some(r) = self.state.budget_rounds {
             b = b.with_rounds(r);
         }
-        b.with_cancel(self.state.cancel.clone())
+        RunCtx {
+            par: self.state.par,
+            budget: b.with_cancel(self.state.cancel.clone()),
+            trace: self.state.trace.clone(),
+        }
     }
 
     /// Open a session from a DDL script (`CREATE TABLE … ROWS n;`,
@@ -786,45 +842,15 @@ impl Parinda {
 
     // ---------- scenario 3: automatic index suggestion ----------
 
-    /// Suggest indexes for the workload under a storage budget.
+    /// Suggest indexes for the workload under a storage budget: the
+    /// default [`AdviseRequest`].
     pub fn suggest_indexes(
         &self,
         workload: &[Select],
         budget_bytes: u64,
         method: SelectionMethod,
     ) -> Result<IndexSuggestion, ParindaError> {
-        self.suggest_indexes_with(workload, budget_bytes, method, &IlpOptions::default())
-    }
-
-    /// [`Parinda::suggest_indexes`] with the paper's additional DBA
-    /// constraints: per-query workload weights and an update-cost cap
-    /// (only the ILP honors the extra options; the greedy baseline uses
-    /// the plain budget).
-    pub fn suggest_indexes_with(
-        &self,
-        workload: &[Select],
-        budget_bytes: u64,
-        method: SelectionMethod,
-        options: &IlpOptions,
-    ) -> Result<IndexSuggestion, ParindaError> {
-        self.suggest_indexes_inner(workload, None, budget_bytes, method, options)
-    }
-
-    /// [`Parinda::suggest_indexes_with`] over weighted statements: each
-    /// query carries a multiplicity (template weights from workload
-    /// compression). The INUM model is built weighted — budgeted cache
-    /// population covers the heaviest templates first — and every
-    /// reported cost is the weighted sum. With all weights 1.0 this is
-    /// exactly [`Parinda::suggest_indexes_with`].
-    pub fn suggest_indexes_weighted(
-        &self,
-        workload: &[Select],
-        weights: &[f64],
-        budget_bytes: u64,
-        method: SelectionMethod,
-        options: &IlpOptions,
-    ) -> Result<IndexSuggestion, ParindaError> {
-        self.suggest_indexes_inner(workload, Some(weights), budget_bytes, method, options)
+        self.advise(&AdviseRequest::new(workload, budget_bytes, method))
     }
 
     /// The 100k-statement path (scenario 3 at scale): cluster the raw
@@ -841,57 +867,13 @@ impl Parinda {
         method: SelectionMethod,
         options: &IlpOptions,
     ) -> Result<(IndexSuggestion, parinda_workload::CompressedWorkload), ParindaError> {
-        let compressed = parinda_workload::compress_workload_traced(workload, &self.state.trace);
-        let queries = compressed.queries();
-        let weights = compressed.weights();
-        let suggestion =
-            self.suggest_indexes_inner(&queries, Some(&weights), budget_bytes, method, options)?;
+        let compressed = parinda_workload::compress_workload(workload, &self.state.trace);
+        let suggestion = self.advise(&AdviseRequest {
+            weights: Some(&compressed.weights()),
+            options: options.clone(),
+            ..AdviseRequest::new(&compressed.queries(), budget_bytes, method)
+        })?;
         Ok((suggestion, compressed))
-    }
-
-    fn suggest_indexes_inner(
-        &self,
-        workload: &[Select],
-        weights: Option<&[f64]>,
-        budget_bytes: u64,
-        method: SelectionMethod,
-        options: &IlpOptions,
-    ) -> Result<IndexSuggestion, ParindaError> {
-        self.suggest_indexes_core(workload, weights, None, budget_bytes, method, options, &[], &[])
-    }
-
-    /// The streaming advisor entry point (continuous tuning): advise over
-    /// the epoch's templates `workload`/`weights`, incrementally
-    /// maintaining the INUM model from the `previous` epoch's templates
-    /// via [`InumModel::apply_delta`] when given — only new-or-vanished
-    /// templates are re-bound/re-populated; everything carried over is
-    /// bit-identical to a from-scratch weighted build. `pinned` /
-    /// `banned` are index names (the `idx_<table>_<cols>` display form, a
-    /// real catalog index name, or an explicit `table(col, col)` spec):
-    /// pins are forced into the design budget-first, bans never enter the
-    /// solver's search space.
-    #[allow(clippy::too_many_arguments)]
-    pub fn suggest_indexes_stream(
-        &self,
-        workload: &[Select],
-        weights: &[f64],
-        previous: Option<(&[Select], &[f64])>,
-        budget_bytes: u64,
-        method: SelectionMethod,
-        options: &IlpOptions,
-        pinned: &[String],
-        banned: &[String],
-    ) -> Result<IndexSuggestion, ParindaError> {
-        self.suggest_indexes_core(
-            workload,
-            Some(weights),
-            previous,
-            budget_bytes,
-            method,
-            options,
-            pinned,
-            banned,
-        )
     }
 
     /// Resolve a DBA-supplied index name into a [`CandidateIndex`]:
@@ -944,102 +926,72 @@ impl Parinda {
         )))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn suggest_indexes_core(
-        &self,
-        workload: &[Select],
-        weights: Option<&[f64]>,
-        previous: Option<(&[Select], &[f64])>,
-        budget_bytes: u64,
-        method: SelectionMethod,
-        options: &IlpOptions,
-        pinned: &[String],
-        banned: &[String],
-    ) -> Result<IndexSuggestion, ParindaError> {
-        let budget = self.start_budget();
-        let mut model = match previous {
+    /// Automatic index suggestion (scenario 3) — the one body behind
+    /// every spelling. See [`AdviseRequest`] for what each field selects.
+    pub fn advise(&self, req: &AdviseRequest<'_>) -> Result<IndexSuggestion, ParindaError> {
+        let AdviseRequest { workload, weights, budget_bytes, method, .. } = *req;
+        let ctx = self.run_ctx();
+        let build = |workload: &[Select], weights: Option<&[f64]>, ctx: &RunCtx| {
+            let _s = self.state.trace.span("inum_build");
+            InumModel::build_in(
+                &self.core.catalog,
+                workload,
+                weights,
+                self.core.params.clone(),
+                InumOptions::default(),
+                Some(&self.core.plan_cache),
+                ctx,
+            )
+        };
+        let mut model = match req.previous {
             // Incremental path: rebuild the previous epoch's model (its
             // case lists come straight out of the shared plan cache —
             // warm, no planning) and delta it onto the new templates.
             Some((prev_workload, prev_weights)) if !prev_workload.is_empty() => {
-                let mut model = {
-                    let _s = self.state.trace.span("inum_build");
-                    InumModel::build_shared_traced(
-                        &self.core.catalog,
-                        prev_workload,
-                        Some(prev_weights),
-                        self.core.params.clone(),
-                        InumOptions::default(),
-                        self.state.par,
-                        &Budget::unlimited().with_cancel(self.state.cancel.clone()),
-                        self.state.trace.clone(),
-                        &self.core.plan_cache,
-                    )?
+                let uncapped = RunCtx {
+                    budget: Budget::unlimited().with_cancel(self.state.cancel.clone()),
+                    ..ctx.clone()
                 };
+                let mut model = build(prev_workload, Some(prev_weights), &uncapped)?;
                 let weights_vec: Vec<f64> =
                     weights.map(|w| w.to_vec()).unwrap_or_else(|| vec![1.0; workload.len()]);
                 model.apply_delta(workload, &weights_vec)?;
                 model
             }
-            _ => {
-                let _s = self.state.trace.span("inum_build");
-                InumModel::build_shared_traced(
-                    &self.core.catalog,
-                    workload,
-                    weights,
-                    self.core.params.clone(),
-                    InumOptions::default(),
-                    self.state.par,
-                    &budget,
-                    self.state.trace.clone(),
-                    &self.core.plan_cache,
-                )?
-            }
+            _ => build(workload, weights, &ctx)?,
         };
+        let budget = &ctx.budget;
         let inum_skipped = model.degraded_queries();
         let queries = model.queries().to_vec();
         let cands = generate_candidates(&queries, CandidateLimits::default());
-        let constraints = if pinned.is_empty() && banned.is_empty() {
-            SolverConstraints::none()
-        } else {
-            let pinned_c: Vec<CandidateIndex> = pinned
-                .iter()
-                .map(|n| self.resolve_candidate(&cands, n))
-                .collect::<Result<_, _>>()?;
-            let banned_c: Vec<CandidateIndex> = banned
-                .iter()
-                .map(|n| self.resolve_candidate(&cands, n))
-                .collect::<Result<_, _>>()?;
-            // Conflicts are detected on the *resolved* candidates, not
-            // the spellings: `orders(o_custkey)` and its generated
-            // `idx_orders_o_custkey` display name are the same index.
-            if let Some(i) = pinned_c.iter().position(|p| banned_c.contains(p)) {
-                return Err(ParindaError::Advisor(format!(
-                    "index `{}` is both pinned and banned",
-                    pinned[i]
-                )));
-            }
-            SolverConstraints { pinned: pinned_c, banned: banned_c }
+        let resolve = |names: &[String]| -> Result<Vec<CandidateIndex>, ParindaError> {
+            names.iter().map(|n| self.resolve_candidate(&cands, n)).collect()
         };
+        let constraints =
+            SolverConstraints { pinned: resolve(req.pinned)?, banned: resolve(req.banned)? };
+        // Conflicts are detected on the *resolved* candidates, not the
+        // spellings: `orders(o_custkey)` and its generated
+        // `idx_orders_o_custkey` display name are the same index.
+        if let Some(i) = constraints.pinned.iter().position(|p| constraints.banned.contains(p)) {
+            return Err(ParindaError::Advisor(format!(
+                "index `{}` is both pinned and banned",
+                req.pinned[i]
+            )));
+        }
         let sel = match method {
-            SelectionMethod::Ilp => select_indexes_ilp_constrained(
+            SelectionMethod::Ilp => select_indexes_ilp(
                 &mut model,
                 &cands,
                 budget_bytes,
-                options,
-                &budget,
+                &req.options,
                 &constraints,
+                budget,
             ),
-            SelectionMethod::Greedy => select_indexes_greedy_constrained(
-                &mut model,
-                &cands,
-                budget_bytes,
-                &budget,
-                &constraints,
-            ),
+            SelectionMethod::Greedy => {
+                select_indexes_greedy(&mut model, &cands, budget_bytes, &constraints, budget)
+            }
         };
 
-        let cfg = Configuration::from_ids(sel.chosen.iter().copied());
         let mut indexes = Vec::new();
         for &id in &sel.chosen {
             let c = model.candidate(id);
@@ -1063,13 +1015,13 @@ impl Parinda {
         let per_query = workload
             .iter()
             .zip(&sel.per_query)
-            .map(|(sql, &(before, after))| {
+            .enumerate()
+            .map(|(qidx, (sql, &(before, after)))| {
                 let mut features = Vec::new();
                 if after < before * 0.9999 {
                     for (&id, info) in sel.chosen.iter().zip(&indexes) {
                         let without: Vec<_> =
                             sel.chosen.iter().copied().filter(|&x| x != id).collect();
-                        let qidx = workload.iter().position(|w| w == sql).unwrap_or(0);
                         let cost_without =
                             model.cost(qidx, &Configuration::from_ids(without));
                         if cost_without > after * 1.0001 {
@@ -1085,7 +1037,6 @@ impl Parinda {
                 }
             })
             .collect();
-        let _ = cfg;
 
         let degraded = sel.degraded || inum_skipped > 0;
         if degraded {
@@ -1217,15 +1168,7 @@ impl Parinda {
         workload: &[Select],
         config: AutoPartConfig,
     ) -> Result<PartitionSuggestionReport, ParindaError> {
-        let budget = self.start_budget();
-        let sugg = suggest_partitions_traced(
-            &self.core.catalog,
-            workload,
-            config,
-            self.state.par,
-            &budget,
-            &self.state.trace,
-        )?;
+        let sugg = suggest_partitions(&self.core.catalog, workload, config, &self.run_ctx())?;
         if sugg.degraded {
             self.state.trace.count(Counter::BudgetDegradations, 1);
         }

@@ -1,7 +1,7 @@
 //! Session-API behaviours beyond the three scenarios: DDL loading, index
 //! drop simulation, weighted suggestions, error paths.
 
-use parinda::{Design, IlpOptions, Parinda, SelectionMethod};
+use parinda::{AdviseRequest, Design, Parinda, SelectionMethod};
 use parinda_catalog::MetadataProvider;
 
 const DDL: &str = "
@@ -88,28 +88,25 @@ fn weighted_suggestion_through_session() {
         )
         .unwrap(),
     ];
-    // budget fits one photoobj index; flip the weights, the winner flips
+    // budget fits one photoobj index; flip the weights, the winner flips —
+    // under either selection method
     let budget = 360 * 1024 * 1024;
-    let s1 = session
-        .suggest_indexes_with(
-            &wl,
-            budget,
-            SelectionMethod::Ilp,
-            &IlpOptions { weights: Some(vec![1000.0, 1.0]), ..Default::default() },
-        )
-        .unwrap();
-    let s2 = session
-        .suggest_indexes_with(
-            &wl,
-            budget,
-            SelectionMethod::Ilp,
-            &IlpOptions { weights: Some(vec![1.0, 1000.0]), ..Default::default() },
-        )
-        .unwrap();
-    assert_eq!(s1.indexes.len(), 1, "{:?}", s1.indexes);
-    assert_eq!(s2.indexes.len(), 1, "{:?}", s2.indexes);
-    assert_ne!(s1.indexes[0].columns, s2.indexes[0].columns);
-    assert_eq!(s1.indexes[0].columns, vec!["objid"]);
+    for method in [SelectionMethod::Ilp, SelectionMethod::Greedy] {
+        let advise = |weights: &[f64]| {
+            session
+                .advise(&AdviseRequest {
+                    weights: Some(weights),
+                    ..AdviseRequest::new(&wl, budget, method)
+                })
+                .unwrap()
+        };
+        let s1 = advise(&[1000.0, 1.0]);
+        let s2 = advise(&[1.0, 1000.0]);
+        assert_eq!(s1.indexes.len(), 1, "{method:?}: {:?}", s1.indexes);
+        assert_eq!(s2.indexes.len(), 1, "{method:?}: {:?}", s2.indexes);
+        assert_ne!(s1.indexes[0].columns, s2.indexes[0].columns, "{method:?}");
+        assert_eq!(s1.indexes[0].columns, vec!["objid"], "{method:?}");
+    }
 }
 
 #[test]

@@ -26,9 +26,7 @@ use parinda_optimizer::planner::{base_rel_rows, base_scan_paths};
 use parinda_optimizer::{
     bind, plan_query, BoundQuery, CostParams, PlanKind, PlanNode, PlannerFlags,
 };
-use parinda_parallel::{
-    par_try_map_budgeted_traced, par_try_map_indexed_traced, Budget, Parallelism,
-};
+use parinda_parallel::{par_try_map_indexed, Budget, Parallelism, RunCtx};
 use parinda_sql::Select;
 use parinda_trace::{Counter, Trace};
 use parinda_whatif::{HypotheticalCatalog, JoinScenario};
@@ -98,7 +96,11 @@ pub struct InumModel<'a> {
     catalog: &'a Catalog,
     params: CostParams,
     options: InumOptions,
-    par: Parallelism,
+    /// The threads and trace the model was built with, under no budget:
+    /// the model's own sweeps (bind, delta) must cover every query. Cache
+    /// hits/misses and optimizer invocations are counted in its trace;
+    /// tracing never feeds back into any cost or ordering decision.
+    ctx: RunCtx,
     queries: Vec<BoundQuery>,
     /// Canonical SQL text per query, parallel to `queries`. This is the
     /// identity [`apply_delta`] matches templates by when an epoch
@@ -129,10 +131,6 @@ pub struct InumModel<'a> {
     probe_memo: Mutex<HashMap<(usize, usize, usize), Option<f64>>>,
     estimations: AtomicU64,
     full_optimizations: AtomicU64,
-    /// Observability handle (disabled by default): cache hits/misses and
-    /// optimizer invocations are counted here; build phases record spans.
-    /// Tracing never feeds back into any cost or ordering decision.
-    trace: Trace,
 }
 
 /// Errors building the model.
@@ -172,164 +170,76 @@ pub struct DeltaReport {
 }
 
 impl<'a> InumModel<'a> {
-    /// Build the model: bind every query and populate the internal-plan
-    /// cache (the expensive, once-per-workload step).
+    /// Build the model with every default: bind every query and populate
+    /// the internal-plan cache (the expensive, once-per-workload step)
+    /// unweighted, with the full case set, no shared cache, and a default
+    /// [`RunCtx`] (auto-detected threads, no budget, tracing off).
     pub fn build(
         catalog: &'a Catalog,
         workload: &[Select],
         params: CostParams,
     ) -> Result<Self, InumError> {
-        Self::build_with(catalog, workload, params, InumOptions::default())
-    }
-
-    /// [`InumModel::build`] with explicit cache-richness options (used by
-    /// the ablation experiment).
-    pub fn build_with(
-        catalog: &'a Catalog,
-        workload: &[Select],
-        params: CostParams,
-        options: InumOptions,
-    ) -> Result<Self, InumError> {
-        Self::build_par(catalog, workload, params, options, Parallelism::auto())
-    }
-
-    /// Fully explicit build: cache-richness options plus the thread-count
-    /// policy for cache population (each query's interesting-order ×
-    /// nestloop plan enumeration is independent, so queries fan out over
-    /// the pool; results are identical at any thread count).
-    pub fn build_par(
-        catalog: &'a Catalog,
-        workload: &[Select],
-        params: CostParams,
-        options: InumOptions,
-        par: Parallelism,
-    ) -> Result<Self, InumError> {
-        Self::build_budgeted(catalog, workload, params, options, par, &Budget::unlimited())
-    }
-
-    /// [`InumModel::build_par`] under a [`Budget`]: cache population stops
-    /// at the budget boundary and the queries whose caches were not built
-    /// are marked degraded — [`cost`] serves them with live optimizer
-    /// calls instead of failing. A budget round cap bounds the number of
-    /// query caches populated (deterministic at any thread count); a
-    /// deadline/cancel stops between queries. With an unlimited budget
-    /// this is exactly [`InumModel::build_par`].
-    ///
-    /// [`cost`]: InumModel::cost
-    pub fn build_budgeted(
-        catalog: &'a Catalog,
-        workload: &[Select],
-        params: CostParams,
-        options: InumOptions,
-        par: Parallelism,
-        budget: &Budget,
-    ) -> Result<Self, InumError> {
-        Self::build_budgeted_traced(catalog, workload, params, options, par, budget, Trace::disabled())
-    }
-
-    /// [`InumModel::build_budgeted`] with an observability handle: the
-    /// bind and cache-population sweeps record `inum_build/*` spans, and
-    /// the model keeps the handle to count cache hits/misses and
-    /// optimizer invocations for the rest of its life.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_budgeted_traced(
-        catalog: &'a Catalog,
-        workload: &[Select],
-        params: CostParams,
-        options: InumOptions,
-        par: Parallelism,
-        budget: &Budget,
-        trace: Trace,
-    ) -> Result<Self, InumError> {
-        Self::build_inner(catalog, workload, None, params, options, par, budget, trace, None)
-    }
-
-    /// Weighted build for compressed workloads: each query carries a
-    /// statement multiplicity. [`workload_cost`] becomes the weighted sum,
-    /// and when a build [`Budget`] caps cache population, queries are
-    /// populated in weight-descending order (stable on index), so the
-    /// caches that serve the most statements are built first. With all
-    /// weights 1.0 this is exactly [`InumModel::build_budgeted_traced`] —
-    /// bit-identical.
-    ///
-    /// [`workload_cost`]: InumModel::workload_cost
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_weighted_traced(
-        catalog: &'a Catalog,
-        workload: &[Select],
-        weights: &[f64],
-        params: CostParams,
-        options: InumOptions,
-        par: Parallelism,
-        budget: &Budget,
-        trace: Trace,
-    ) -> Result<Self, InumError> {
-        assert_eq!(weights.len(), workload.len(), "one weight per query");
-        Self::build_inner(
+        Self::build_in(
             catalog,
             workload,
-            Some(weights.to_vec()),
-            params,
-            options,
-            par,
-            budget,
-            trace,
             None,
+            params,
+            InumOptions::default(),
+            None,
+            &RunCtx::default(),
         )
     }
 
-    /// Build against an engine-wide [`SharedPlanCache`]: each query's
-    /// case list is served from the cache when any earlier build over the
-    /// same catalog already populated it, and published on a miss. Hits
-    /// and misses are attributed to `trace` as
-    /// [`Counter::SharedPlanHits`] / [`Counter::SharedPlanMisses`] and to
-    /// the cache's own exact totals. Cached case lists are pure functions
-    /// of (catalog, query SQL, [`InumOptions`]), so a warm cache is
-    /// bit-identical to a cold build — only faster. With `weights` this
-    /// is the shared-cache variant of
-    /// [`InumModel::build_weighted_traced`]; without, of
-    /// [`InumModel::build_budgeted_traced`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_shared_traced(
+    /// The explicit constructor: everything [`InumModel::build`] defaults,
+    /// spelled out.
+    ///
+    /// * `weights` — a statement multiplicity per query (compressed
+    ///   workloads). [`workload_cost`] becomes the weighted sum, and a
+    ///   budget that caps cache population lands on the heaviest queries
+    ///   first (weight-descending, stable on index). All weights 1.0 is
+    ///   bit-identical to `None`.
+    /// * `options` — how rich the cached internal-plan set is (the
+    ///   ablation experiment's knobs).
+    /// * `shared` — an engine-wide [`SharedPlanCache`]: each query's case
+    ///   list is served from it when any earlier build over the same
+    ///   catalog already populated it, and published on a miss. Hits and
+    ///   misses are attributed to the trace as
+    ///   [`Counter::SharedPlanHits`] / [`Counter::SharedPlanMisses`] and to
+    ///   the cache's own exact totals. Cached case lists are pure
+    ///   functions of (catalog, query SQL, [`InumOptions`]), so a warm
+    ///   cache is bit-identical to a cold build — only faster.
+    /// * `ctx` — each query's interesting-order × nestloop plan
+    ///   enumeration is independent, so queries fan out over `ctx.par`;
+    ///   results are identical at any thread count. Cache population
+    ///   stops at `ctx.budget`'s boundary and the queries whose caches
+    ///   were not built are marked degraded — [`cost`] serves them with
+    ///   live optimizer calls instead of failing. A round cap bounds the
+    ///   number of query caches populated (deterministic at any thread
+    ///   count); a deadline/cancel stops between queries. The bind and
+    ///   population sweeps record `inum_build/*` spans in `ctx.trace`.
+    ///
+    /// The model keeps `ctx.par` and `ctx.trace` for the rest of its
+    /// life — advisors working off the model read them from it.
+    ///
+    /// [`cost`]: InumModel::cost
+    /// [`workload_cost`]: InumModel::workload_cost
+    pub fn build_in(
         catalog: &'a Catalog,
         workload: &[Select],
         weights: Option<&[f64]>,
         params: CostParams,
         options: InumOptions,
-        par: Parallelism,
-        budget: &Budget,
-        trace: Trace,
-        cache: &SharedPlanCache,
+        shared: Option<&SharedPlanCache>,
+        ctx: &RunCtx,
     ) -> Result<Self, InumError> {
         if let Some(w) = weights {
             assert_eq!(w.len(), workload.len(), "one weight per query");
         }
-        Self::build_inner(
-            catalog,
-            workload,
-            weights.map(|w| w.to_vec()),
-            params,
-            options,
-            par,
-            budget,
-            trace,
-            Some(cache),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_inner(
-        catalog: &'a Catalog,
-        workload: &[Select],
-        weights: Option<Vec<f64>>,
-        params: CostParams,
-        options: InumOptions,
-        par: Parallelism,
-        budget: &Budget,
-        trace: Trace,
-        shared: Option<&SharedPlanCache>,
-    ) -> Result<Self, InumError> {
-        let bound = par_try_map_indexed_traced(par, workload.len(), &trace, "inum_build/bind", |i| {
+        // Binding (and a later delta) must cover every query whatever the
+        // caller's budget says, so the model's own sweeps run under the
+        // caller's threads and trace with no limit.
+        let own = RunCtx { par: ctx.par, budget: Budget::unlimited(), trace: ctx.trace.clone() };
+        let bound = par_try_map_indexed(&own, "inum_build/bind", workload.len(), |i| {
             if parinda_failpoint::should_fail("inum::bind") {
                 return Err("failpoint inum::bind: injected error".to_string());
             }
@@ -337,7 +247,7 @@ impl<'a> InumModel<'a> {
         })
         .map_err(|p| InumError::Worker(p.to_string()))?;
         let mut queries = Vec::with_capacity(workload.len());
-        for (i, q) in bound.into_iter().enumerate() {
+        for (i, q) in bound.done.into_iter().enumerate() {
             queries.push(q.map_err(|e| InumError::Bind(i, e))?);
         }
         let sql: Vec<String> = workload.iter().map(|q| q.to_string()).collect();
@@ -345,17 +255,16 @@ impl<'a> InumModel<'a> {
             catalog,
             params,
             options,
-            par,
+            ctx: own,
             queries,
             sql,
-            weights,
+            weights: weights.map(<[f64]>::to_vec),
             cases: Vec::new(),
             candidates: Vec::new(),
             access_memo: Mutex::new(HashMap::new()),
             probe_memo: Mutex::new(HashMap::new()),
             estimations: AtomicU64::new(0),
             full_optimizations: AtomicU64::new(0),
-            trace,
         };
         let nq = model.queries.len();
         // Population order: identity for uniform workloads; weight-
@@ -367,7 +276,7 @@ impl<'a> InumModel<'a> {
         }
         // A round cap caps how many query caches are populated; the
         // deadline/cancel check rides inside the budgeted sweep.
-        let cap = budget.max_rounds().map_or(nq, |r| r.min(nq));
+        let cap = ctx.budget.max_rounds().map_or(nq, |r| r.min(nq));
         // Shared-cache keys are the canonical SQL text plus the two
         // cache-richness knobs; the catalog is pinned by the cache's
         // attachment to one immutable engine core (see `shared.rs`).
@@ -377,29 +286,22 @@ impl<'a> InumModel<'a> {
                 .map(|q| (q.to_string(), options.max_cases_per_query, options.join_scenario_pairs))
                 .collect()
         });
-        let built = par_try_map_budgeted_traced(
-            par,
-            cap,
-            budget,
-            &model.trace,
-            "inum_build/populate",
-            |k| {
-                let qi = order[k];
-                match (shared, &keys) {
-                    (Some(cache), Some(keys)) => {
-                        if let Some(cases) = cache.lookup(&keys[qi]) {
-                            model.trace.count(Counter::SharedPlanHits, 1);
-                            return Ok(cases);
-                        }
-                        model.trace.count(Counter::SharedPlanMisses, 1);
-                        let cases = Arc::new(model.build_cases(qi)?);
-                        cache.insert(keys[qi].clone(), Arc::clone(&cases));
-                        Ok(cases)
+        let built = par_try_map_indexed(ctx, "inum_build/populate", cap, |k| {
+            let qi = order[k];
+            match (shared, &keys) {
+                (Some(cache), Some(keys)) => {
+                    if let Some(cases) = cache.lookup(&keys[qi]) {
+                        ctx.trace.count(Counter::SharedPlanHits, 1);
+                        return Ok(cases);
                     }
-                    _ => model.build_cases(qi).map(Arc::new),
+                    ctx.trace.count(Counter::SharedPlanMisses, 1);
+                    let cases = Arc::new(model.build_cases(qi)?);
+                    cache.insert(keys[qi].clone(), Arc::clone(&cases));
+                    Ok(cases)
                 }
-            },
-        )
+                _ => model.build_cases(qi).map(Arc::new),
+            }
+        })
         .map_err(|p| InumError::Worker(p.to_string()))?;
         let populated = built.done.len();
         model.cases.resize_with(nq, || None);
@@ -423,8 +325,8 @@ impl<'a> InumModel<'a> {
     ///
     /// **Invariant**: the resulting model is bit-identical — same costs,
     /// same degraded set, same candidate ids — to a from-scratch
-    /// [`InumModel::build_weighted_traced`] over the same workload with
-    /// an unlimited budget, at any thread count. Cached cases and memo
+    /// weighted [`InumModel::build_in`] over the same workload with an
+    /// unlimited budget, at any thread count. Cached cases and memo
     /// entries are pure functions of (query, catalog, params, options,
     /// candidate), so reuse can never change a value, only skip its
     /// recomputation. Queries a *budgeted* original build left degraded
@@ -440,7 +342,7 @@ impl<'a> InumModel<'a> {
         weights: &[f64],
     ) -> Result<DeltaReport, InumError> {
         assert_eq!(weights.len(), workload.len(), "one weight per query");
-        let trace = self.trace.clone();
+        let trace = self.ctx.trace.clone();
         let _span = trace.span("inum_delta");
         if parinda_failpoint::should_fail("inum::delta") {
             return Err(InumError::Worker("failpoint inum::delta: injected error".to_string()));
@@ -467,21 +369,15 @@ impl<'a> InumModel<'a> {
         let evicted = self.queries.len() - reused;
         // Bind the genuinely new templates (same sweep + failpoint as a
         // full build, so fault behavior matches).
-        let bound = par_try_map_indexed_traced(
-            self.par,
-            missing.len(),
-            &trace,
-            "inum_delta/bind",
-            |k| {
-                if parinda_failpoint::should_fail("inum::bind") {
-                    return Err("failpoint inum::bind: injected error".to_string());
-                }
-                bind(&workload[missing[k]], self.catalog).map_err(|e| e.to_string())
-            },
-        )
+        let bound = par_try_map_indexed(&self.ctx, "inum_delta/bind", missing.len(), |k| {
+            if parinda_failpoint::should_fail("inum::bind") {
+                return Err("failpoint inum::bind: injected error".to_string());
+            }
+            bind(&workload[missing[k]], self.catalog).map_err(|e| e.to_string())
+        })
         .map_err(|p| InumError::Worker(p.to_string()))?;
         let mut fresh: Vec<BoundQuery> = Vec::with_capacity(missing.len());
-        for (k, q) in bound.into_iter().enumerate() {
+        for (k, q) in bound.done.into_iter().enumerate() {
             fresh.push(q.map_err(|e| InumError::Bind(missing[k], e))?);
         }
         // Assemble the new query/case vectors (still uncommitted). One
@@ -513,19 +409,13 @@ impl<'a> InumModel<'a> {
         // rebuild would populate them, and the invariant is equality
         // with exactly that).
         let targets: Vec<usize> = (0..nq).filter(|&i| cases[i].is_none()).collect();
-        let built = par_try_map_indexed_traced(
-            self.par,
-            targets.len(),
-            &trace,
-            "inum_delta/populate",
-            |k| {
-                let qi = targets[k];
-                self.build_cases_for(qi, &queries[qi])
-            },
-        )
+        let built = par_try_map_indexed(&self.ctx, "inum_delta/populate", targets.len(), |k| {
+            let qi = targets[k];
+            self.build_cases_for(qi, &queries[qi])
+        })
         .map_err(|p| InumError::Worker(p.to_string()))?;
         let mut populated: Vec<Arc<Vec<CachedCase>>> = Vec::with_capacity(targets.len());
-        for (k, r) in built.into_iter().enumerate() {
+        for (k, r) in built.done.into_iter().enumerate() {
             populated.push(Arc::new(r.map_err(|e| InumError::Plan(targets[k], e))?));
         }
         for (k, cs) in populated.into_iter().enumerate() {
@@ -578,12 +468,7 @@ impl<'a> InumModel<'a> {
 
     /// The thread-count policy the model evaluates with.
     pub fn parallelism(&self) -> Parallelism {
-        self.par
-    }
-
-    /// Change the thread-count policy for subsequent evaluation sweeps.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
+        self.ctx.par
     }
 
     /// The bound queries (for advisors that need workload structure).
@@ -641,10 +526,10 @@ impl<'a> InumModel<'a> {
     }
 
     /// The observability handle the model was built with (disabled unless
-    /// [`InumModel::build_budgeted_traced`] attached one). Advisors that
-    /// work off this model record their spans/counters through it.
+    /// [`InumModel::build_in`]'s context carried one). Advisors that work
+    /// off this model record their spans/counters through it.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.ctx.trace
     }
 
     /// Number of cached-model cost estimations served so far.
@@ -750,7 +635,7 @@ impl<'a> InumModel<'a> {
         let flags = scenario.flags(PlannerFlags::default());
         let plan = plan_query(q, &overlay, &self.params, &flags).map_err(|e| e.to_string())?;
         self.full_optimizations.fetch_add(1, Ordering::Relaxed);
-        self.trace.count(Counter::OptimizerInvocations, 1);
+        self.ctx.trace.count(Counter::OptimizerInvocations, 1);
 
         // Extract leaf access charges.
         let mut accesses: Vec<RelAccess> = Vec::new();
@@ -896,13 +781,13 @@ impl<'a> InumModel<'a> {
     /// `cand = None` = sequential scan.
     fn access_cost(&self, qi: usize, rel: usize, cand: Option<usize>) -> Option<AccessCost> {
         if let Some(v) = self.access_memo.lock().unwrap_or_else(std::sync::PoisonError::into_inner).get(&(qi, rel, cand)) {
-            self.trace.count(Counter::InumCacheHits, 1);
+            self.ctx.trace.count(Counter::InumCacheHits, 1);
             return *v;
         }
         // Computed outside the lock: concurrent sweeps may duplicate the
         // work, but the value is a pure function of the key, so whichever
         // insert lands last writes the same bits.
-        self.trace.count(Counter::InumCacheMisses, 1);
+        self.ctx.trace.count(Counter::InumCacheMisses, 1);
         let computed = self.compute_access_cost(qi, rel, cand);
         self.access_memo
             .lock()
@@ -1022,7 +907,7 @@ impl<'a> InumModel<'a> {
             }
         }
         self.full_optimizations.fetch_add(1, Ordering::Relaxed);
-        self.trace.count(Counter::OptimizerInvocations, 1);
+        self.ctx.trace.count(Counter::OptimizerInvocations, 1);
         match plan_query(q, &overlay, &self.params, &PlannerFlags::default()) {
             Ok(p) => p.cost.total,
             Err(_) => f64::INFINITY,

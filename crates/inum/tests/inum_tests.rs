@@ -5,6 +5,7 @@
 use parinda_catalog::{analyze_column, Catalog, Column, Datum, MetadataProvider, SqlType};
 use parinda_inum::{CandidateIndex, Configuration, InumModel};
 use parinda_optimizer::CostParams;
+use parinda_parallel::RunCtx;
 use parinda_sql::{parse_select, Select};
 
 fn catalog() -> Catalog {
@@ -204,18 +205,24 @@ fn ablation_single_case_cache_is_worse() {
     use parinda_inum::InumOptions;
     let c = catalog();
     let wl = workload();
-    let mut full = InumModel::build_with(
+    let mut full = InumModel::build_in(
         &c,
         &wl,
+        None,
         CostParams::default(),
         InumOptions::default(),
+        None,
+        &RunCtx::default(),
     )
     .unwrap();
-    let mut single = InumModel::build_with(
+    let mut single = InumModel::build_in(
         &c,
         &wl,
+        None,
         CostParams::default(),
         InumOptions { max_cases_per_query: 1, join_scenario_pairs: false },
+        None,
+        &RunCtx::default(),
     )
     .unwrap();
     let photo = c.table_by_name("photoobj").unwrap().id;
@@ -261,13 +268,24 @@ fn options_control_cache_size() {
     let c = catalog();
     let wl = workload();
     // fewer cases -> fewer optimizer calls during the build
-    let full = InumModel::build_with(&c, &wl, CostParams::default(), InumOptions::default())
-        .unwrap();
-    let lean = InumModel::build_with(
+    let full = InumModel::build_in(
         &c,
         &wl,
+        None,
+        CostParams::default(),
+        InumOptions::default(),
+        None,
+        &RunCtx::default(),
+    )
+    .unwrap();
+    let lean = InumModel::build_in(
+        &c,
+        &wl,
+        None,
         CostParams::default(),
         InumOptions { max_cases_per_query: 1, join_scenario_pairs: false },
+        None,
+        &RunCtx::default(),
     )
     .unwrap();
     assert!(lean.full_optimizations() < full.full_optimizations());
@@ -279,12 +297,24 @@ fn counters_are_exact_under_parallel_builds() {
     use parinda_parallel::{par_map_indexed, Parallelism};
     let c = catalog();
     let wl = workload();
-    let seq = InumModel::build_par(
-        &c, &wl, CostParams::default(), InumOptions::default(), Parallelism::fixed(1),
+    let seq = InumModel::build_in(
+        &c,
+        &wl,
+        None,
+        CostParams::default(),
+        InumOptions::default(),
+        None,
+        &RunCtx { par: Parallelism::fixed(1), ..RunCtx::default() },
     )
     .unwrap();
-    let par = InumModel::build_par(
-        &c, &wl, CostParams::default(), InumOptions::default(), Parallelism::fixed(4),
+    let par = InumModel::build_in(
+        &c,
+        &wl,
+        None,
+        CostParams::default(),
+        InumOptions::default(),
+        None,
+        &RunCtx { par: Parallelism::fixed(4), ..RunCtx::default() },
     )
     .unwrap();
     // cache population performs the same optimizer calls regardless of the

@@ -25,27 +25,26 @@
 //!
 //! PARINDA is an interactive tool: a panic inside one what-if evaluation
 //! must never tear down the DBA's session. Every item runs under
-//! [`std::panic::catch_unwind`], and [`par_try_map`] /
-//! [`par_try_map_indexed`] surface a worker panic to the caller as a
-//! [`WorkerPanic`] **error** instead of unwinding. The error is
-//! deterministic: all items are evaluated regardless of failures, and the
-//! panic at the **lowest input index** is reported, so the same workload
-//! yields the same error at any thread count. [`par_map`] /
-//! [`par_map_indexed`] keep their infallible signatures by re-raising the
-//! (equally deterministic) [`WorkerPanic`] as a panic on the *caller's*
-//! thread, where an interactive frontend's `catch_unwind` backstop can
-//! contain it.
-
+//! [`std::panic::catch_unwind`], and [`par_try_map_indexed`] surfaces a
+//! worker panic to the caller as a [`WorkerPanic`] **error** instead of
+//! unwinding. The error is deterministic: all items are evaluated
+//! regardless of failures, and the panic at the **lowest input index** is
+//! reported, so the same workload yields the same error at any thread
+//! count. [`par_map`] / [`par_map_indexed`] keep their infallible
+//! signatures by re-raising the (equally deterministic) [`WorkerPanic`]
+//! as a panic on the *caller's* thread, where an interactive frontend's
+//! `catch_unwind` backstop can contain it.
 //!
 //! ## Budgets and cancellation
 //!
-//! Every sweep can be made *anytime*: [`par_try_map_budgeted`] /
-//! [`par_map_budgeted`] take a [`Budget`] (wall-clock deadline on a
-//! monotonic clock, optional round cap, [`CancelToken`]) that workers
-//! poll **between chunk claims**, and return a [`Partial`] covering a
-//! contiguous prefix of the input. Degraded results keep a deterministic
-//! shape: which inputs were evaluated is always `0..done.len()`, never a
-//! scheduling-dependent subset.
+//! There is one sweep body. [`par_try_map_indexed`] runs it under a
+//! [`RunCtx`]: its [`Budget`] (wall-clock deadline on a monotonic clock,
+//! optional round cap, [`CancelToken`]) is polled by workers **between
+//! chunk claims**, and the result is a [`Partial`] covering a contiguous
+//! prefix of the input. Degraded results keep a deterministic shape:
+//! which inputs were evaluated is always `0..done.len()`, never a
+//! scheduling-dependent subset. The infallible maps run the same body
+//! with no budget at all.
 
 #![deny(missing_docs)]
 
@@ -166,39 +165,42 @@ fn run_item<R, F: Fn(usize) -> R>(f: &F, i: usize) -> Result<R, String> {
     .map_err(|p| panic_message(&*p))
 }
 
-/// Map `f` over `0..n` on the pool, returning results in index order, or
-/// the deterministic [`WorkerPanic`] of the lowest-index item that
-/// panicked.
+/// What one advisor run executes under: the thread-count policy, the
+/// [`Budget`] (which carries the cancel token) and the observability
+/// handle. The session builds one per request and hands it down; the
+/// default is auto-detected threads, no limit, tracing off.
+#[derive(Debug, Clone, Default)]
+pub struct RunCtx {
+    /// Thread-count policy for every sweep of the run.
+    pub par: Parallelism,
+    /// Deadline / round cap / cancel token, polled at iteration boundaries.
+    pub budget: Budget,
+    /// Where spans and counters of the run are recorded.
+    pub trace: parinda_trace::Trace,
+}
+
+/// The one sweep body: map `f` over `0..n`, stop claiming work once
+/// `budget` is interrupted (`None` = never), and keep the longest
+/// contiguous prefix of evaluated items.
 ///
-/// `f` must be pure (or internally synchronized); it may run on any
-/// worker in any order, but the output vector is always `[f(0), f(1),
-/// …, f(n-1)]`. A panic in `f` never unwinds through this call and never
-/// aborts sibling items: all `n` items are evaluated, then the error for
-/// the lowest panicking index is returned — identical at any thread
-/// count.
-pub fn par_try_map_indexed<R, F>(par: Parallelism, n: usize, f: F) -> Result<Vec<R>, WorkerPanic>
+/// Completed items beyond the first gap were computed out of order past
+/// an interrupted chunk and are discarded — with any panic they hold — so
+/// a partial result always covers exactly inputs `0..done.len()`. Among
+/// the kept items the panic at the lowest index wins.
+fn sweep<R, F>(
+    par: Parallelism,
+    budget: Option<&Budget>,
+    n: usize,
+    f: F,
+) -> Result<Partial<R>, WorkerPanic>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    let interrupted = || budget.is_some_and(Budget::interrupted);
     let threads = par.threads().min(n.max(1));
     if threads <= 1 {
-        let mut out = Vec::with_capacity(n);
-        let mut first_panic: Option<WorkerPanic> = None;
-        for i in 0..n {
-            match run_item(&f, i) {
-                Ok(r) => out.push(r),
-                Err(message) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(WorkerPanic { index: i, message });
-                    }
-                }
-            }
-        }
-        return match first_panic {
-            None => Ok(out),
-            Some(p) => Err(p),
-        };
+        return keep_prefix(n, (0..n).map(|i| (!interrupted()).then(|| run_item(&f, i))));
     }
 
     let chunk = chunk_size(n, threads);
@@ -208,7 +210,7 @@ where
             .map(|_| {
                 scope.spawn(|| {
                     let mut out: Vec<(usize, Result<R, String>)> = Vec::new();
-                    loop {
+                    while !interrupted() {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                         if start >= n {
                             break;
@@ -228,7 +230,7 @@ where
     });
 
     // Reassemble in input order — determinism does not depend on which
-    // worker computed what. The lowest-index panic wins.
+    // worker computed what.
     let mut slots: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
     for part in parts {
         for (i, r) in part {
@@ -236,162 +238,20 @@ where
             slots[i] = Some(r);
         }
     }
-    let mut out = Vec::with_capacity(n);
-    let mut first_panic: Option<WorkerPanic> = None;
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.expect("every index computed exactly once") {
-            Ok(r) => out.push(r),
-            Err(message) => {
-                if first_panic.is_none() {
-                    first_panic = Some(WorkerPanic { index: i, message });
-                }
-            }
-        }
-    }
-    match first_panic {
-        None => Ok(out),
-        Some(p) => Err(p),
-    }
+    keep_prefix(n, slots.into_iter())
 }
 
-/// Map `f` over a slice on the pool, preserving input order and catching
-/// worker panics (see [`par_try_map_indexed`]).
-pub fn par_try_map<'a, T, R, F>(
-    par: Parallelism,
-    items: &'a [T],
-    f: F,
-) -> Result<Vec<R>, WorkerPanic>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> R + Sync,
-{
-    par_try_map_indexed(par, items.len(), |i| f(&items[i]))
-}
-
-/// Map `f` over `0..n` on the pool, returning results in index order.
-///
-/// Infallible variant of [`par_try_map_indexed`]: a panic in `f` is
-/// contained at the worker, then re-raised **on the caller's thread** with
-/// the deterministic lowest-index [`WorkerPanic`] message, so a frontend
-/// `catch_unwind` sees the same failure at any thread count and the
-/// scoped pool always shuts down cleanly first.
-pub fn par_map_indexed<R, F>(par: Parallelism, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match par_try_map_indexed(par, n, f) {
-        Ok(out) => out,
-        Err(p) => panic!("{p}"),
-    }
-}
-
-/// Map `f` over a slice on the pool, preserving input order.
-pub fn par_map<'a, T, R, F>(par: Parallelism, items: &'a [T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> R + Sync,
-{
-    par_map_indexed(par, items.len(), |i| f(&items[i]))
-}
-
-/// Map `f` over `0..n` on the pool under a [`Budget`], returning the
-/// results for a **contiguous prefix** of the input plus a skipped
-/// count.
-///
-/// Workers poll `budget.interrupted()` between chunk claims (and the
-/// sequential path polls between items), so a deadline or a
-/// [`CancelToken`] stops the sweep at the next iteration boundary. To
-/// keep the degraded result's shape deterministic, completed items
-/// beyond the longest contiguous prefix are discarded: `done` always
-/// covers exactly inputs `0..done.len()`. A panic at an index inside
-/// that prefix is reported (lowest index wins, as in
-/// [`par_try_map_indexed`]); panics beyond the prefix are discarded with
-/// their results.
-///
-/// Under an unlimited budget this is equivalent to
-/// [`par_try_map_indexed`]: every item is evaluated and `skipped == 0`.
-pub fn par_try_map_budgeted<R, F>(
-    par: Parallelism,
+/// Fold input-ordered slots (`None` = not evaluated) into the prefix
+/// before the first gap. `slots` is consumed lazily and dropped at the
+/// gap, which is what makes the sequential sweep stop evaluating there.
+fn keep_prefix<R>(
     n: usize,
-    budget: &Budget,
-    f: F,
-) -> Result<Partial<R>, WorkerPanic>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = par.threads().min(n.max(1));
-    if threads <= 1 {
-        let mut done = Vec::with_capacity(n);
-        let mut first_panic: Option<WorkerPanic> = None;
-        let mut completed = 0usize;
-        for i in 0..n {
-            if budget.interrupted() {
-                break;
-            }
-            match run_item(&f, i) {
-                Ok(r) => done.push(r),
-                Err(message) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(WorkerPanic { index: i, message });
-                    }
-                }
-            }
-            completed = i + 1;
-        }
-        return match first_panic {
-            None => Ok(Partial { done, skipped: n - completed }),
-            Some(p) => Err(p),
-        };
-    }
-
-    let chunk = chunk_size(n, threads);
-    let cursor = AtomicUsize::new(0);
-    let parts: Vec<Vec<(usize, Result<R, String>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out: Vec<(usize, Result<R, String>)> = Vec::new();
-                    loop {
-                        if budget.interrupted() {
-                            break;
-                        }
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(n) {
-                            out.push((i, run_item(&f, i)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-
-    // Keep the longest contiguous prefix of completed slots; everything
-    // after the first gap was computed out of order past an interrupted
-    // chunk and is discarded so the partial result has a deterministic
-    // shape.
-    let mut slots: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
-    for part in parts {
-        for (i, r) in part {
-            debug_assert!(slots[i].is_none());
-            slots[i] = Some(r);
-        }
-    }
+    slots: impl Iterator<Item = Option<Result<R, String>>>,
+) -> Result<Partial<R>, WorkerPanic> {
     let mut done = Vec::with_capacity(n);
     let mut first_panic: Option<WorkerPanic> = None;
     let mut prefix = 0usize;
-    for (i, slot) in slots.into_iter().enumerate() {
+    for (i, slot) in slots.enumerate() {
         match slot {
             None => break,
             Some(Ok(r)) => done.push(r),
@@ -409,81 +269,70 @@ where
     }
 }
 
-/// Traced variant of [`par_try_map_indexed`]: one span at `path` covers
-/// the whole sweep, and a surfaced [`WorkerPanic`] bumps the
-/// `worker_panics_recovered` counter.
+/// Map `f` over `0..n` on `ctx`'s pool under `ctx`'s budget, returning
+/// the results for a **contiguous prefix** of the input plus a skipped
+/// count, or the deterministic [`WorkerPanic`] of the lowest-index item
+/// that panicked.
 ///
-/// Span hand-off across workers needs no thread-local state: spans are
-/// identified by stable paths, and the `Trace` handle is `Sync`, so a
-/// worker closure that wants sub-spans simply captures `&Trace` and
-/// records under a child path (`"<path>/…"`) — the sink aggregates the
-/// same totals the sequential run would. Tracing never perturbs results:
-/// the output vector (and any error) is exactly that of
-/// [`par_try_map_indexed`].
-pub fn par_try_map_indexed_traced<R, F>(
-    par: Parallelism,
-    n: usize,
-    trace: &parinda_trace::Trace,
+/// `f` must be pure (or internally synchronized); it may run on any
+/// worker in any order, but `done` is always `[f(0), f(1), …]`. A panic
+/// in `f` never unwinds through this call and never aborts sibling
+/// items. Workers poll `ctx.budget.interrupted()` between chunk claims
+/// (the sequential path between items), so a deadline or a
+/// [`CancelToken`] stops the sweep at the next iteration boundary; under
+/// an unlimited budget every item is evaluated and `skipped == 0`.
+///
+/// One span at `path` covers the sweep and a surfaced panic bumps
+/// `worker_panics_recovered`. Spans are identified by stable paths and
+/// the `Trace` handle is `Sync`, so a worker closure that wants
+/// sub-spans captures `&Trace` and records under a child path. What a
+/// skipped item *means* (a query, a candidate) is context the caller
+/// has, so skip counters stay at the call sites. Tracing never perturbs
+/// results.
+pub fn par_try_map_indexed<R, F>(
+    ctx: &RunCtx,
     path: &'static str,
-    f: F,
-) -> Result<Vec<R>, WorkerPanic>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let _span = trace.span(path);
-    let out = par_try_map_indexed(par, n, f);
-    if out.is_err() {
-        trace.count(parinda_trace::Counter::WorkerPanicsRecovered, 1);
-    }
-    out
-}
-
-/// Traced variant of [`par_try_map_budgeted`]: one span at `path` covers
-/// the sweep and a surfaced [`WorkerPanic`] bumps
-/// `worker_panics_recovered`. Results are exactly those of
-/// [`par_try_map_budgeted`]; what a skipped item *means* (a query, a
-/// candidate) is context the caller has, so skip counters stay at the
-/// call sites.
-pub fn par_try_map_budgeted_traced<R, F>(
-    par: Parallelism,
     n: usize,
-    budget: &Budget,
-    trace: &parinda_trace::Trace,
-    path: &'static str,
     f: F,
 ) -> Result<Partial<R>, WorkerPanic>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let _span = trace.span(path);
-    let out = par_try_map_budgeted(par, n, budget, f);
+    let _span = ctx.trace.span(path);
+    let out = sweep(ctx.par, Some(&ctx.budget), n, f);
     if out.is_err() {
-        trace.count(parinda_trace::Counter::WorkerPanicsRecovered, 1);
+        ctx.trace.count(parinda_trace::Counter::WorkerPanicsRecovered, 1);
     }
     out
 }
 
-/// Budgeted variant of [`par_map`]: map `f` over a slice under a
-/// [`Budget`], returning a contiguous-prefix [`Partial`]. A worker panic
-/// inside the prefix is re-raised on the caller's thread (deterministic
-/// lowest-index message), as in [`par_map_indexed`].
-pub fn par_map_budgeted<'a, T, R, F>(
-    par: Parallelism,
-    items: &'a [T],
-    budget: &Budget,
-    f: F,
-) -> Partial<R>
+/// Map `f` over `0..n` on the pool, returning results in index order:
+/// the sweep of [`par_try_map_indexed`] with no budget and no trace.
+///
+/// A panic in `f` is contained at the worker, then re-raised **on the
+/// caller's thread** with the deterministic lowest-index [`WorkerPanic`]
+/// message, so a frontend `catch_unwind` sees the same failure at any
+/// thread count and the scoped pool always shuts down cleanly first.
+pub fn par_map_indexed<R, F>(par: Parallelism, n: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    match sweep(par, None, n, f) {
+        Ok(all) => all.done,
+        Err(p) => panic!("{p}"),
+    }
+}
+
+/// Map `f` over a slice on the pool, preserving input order.
+pub fn par_map<'a, T, R, F>(par: Parallelism, items: &'a [T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&'a T) -> R + Sync,
 {
-    match par_try_map_budgeted(par, items.len(), budget, |i| f(&items[i])) {
-        Ok(partial) => partial,
-        Err(p) => panic!("{p}"),
-    }
+    par_map_indexed(par, items.len(), |i| f(&items[i]))
 }
 
 /// Compute `n` `f64` terms in parallel, then reduce **in input order**,
@@ -572,182 +421,80 @@ mod tests {
         assert!(r.is_err());
     }
 
-    /// A panicking item surfaces as an error, not an unwind, and the
-    /// error is identical at every thread count (lowest index wins).
+    fn ctx(threads: usize) -> RunCtx {
+        RunCtx { par: Parallelism::fixed(threads), ..RunCtx::default() }
+    }
+
+    /// The sweep under an unlimited context evaluates every item and
+    /// returns `[f(0)..f(n-1)]`, records one span per sweep at the given
+    /// path, and a default (disabled) trace records nothing.
     #[test]
-    fn try_map_contains_panics_deterministically() {
+    fn core_unlimited_returns_every_item_in_order() {
+        let trace = parinda_trace::Trace::recording();
+        for threads in [1, 2, 8] {
+            let traced = RunCtx { trace: trace.clone(), ..ctx(threads) };
+            let all = par_try_map_indexed(&traced, "sweep", 500, |i| i * 3).unwrap();
+            assert!(all.is_complete(), "threads={threads}");
+            assert_eq!(all.done, (0..500).map(|i| i * 3).collect::<Vec<_>>(), "threads={threads}");
+            let quiet = ctx(threads);
+            let all = par_try_map_indexed(&quiet, "sweep", 50, |i| i + 1).unwrap();
+            assert_eq!(all.done, (1..=50).collect::<Vec<_>>(), "threads={threads}");
+            assert!(quiet.trace.snapshot().spans.is_empty());
+        }
+        assert_eq!(trace.snapshot().spans["sweep"].count, 3);
+    }
+
+    /// A panicking item surfaces as an error, not an unwind; the error is
+    /// identical at every thread count (lowest index wins) and bumps the
+    /// recovery counter once per sweep.
+    #[test]
+    fn core_reports_lowest_index_panic() {
         let quiet = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let run = |threads: usize| {
-            par_try_map_indexed(Parallelism::fixed(threads), 200, |i| {
+        let trace = parinda_trace::Trace::recording();
+        let expected = Err(WorkerPanic { index: 31, message: "boom at 31".into() });
+        for threads in [1, 2, 8] {
+            let traced = RunCtx { trace: trace.clone(), ..ctx(threads) };
+            let r = par_try_map_indexed(&traced, "sweep", 200, |i| {
                 if i == 31 || i == 163 {
                     panic!("boom at {i}");
                 }
                 i * 2
-            })
-        };
-        let expected = Err(WorkerPanic { index: 31, message: "boom at 31".into() });
-        for threads in [1, 2, 3, 8, 64] {
-            assert_eq!(run(threads), expected, "threads={threads}");
+            });
+            assert_eq!(r, expected, "threads={threads}");
         }
+        assert_eq!(trace.snapshot().counter(parinda_trace::Counter::WorkerPanicsRecovered), 3);
         std::panic::set_hook(quiet);
     }
 
+    /// A cancelled token yields a contiguous prefix: empty when cancelled
+    /// before the sweep starts, exactly `f(0..done.len())` when cancelled
+    /// while it runs.
     #[test]
-    fn try_map_ok_matches_par_map() {
-        let ok = par_try_map_indexed(Parallelism::fixed(4), 100, |i| i + 1).unwrap();
-        assert_eq!(ok, (1..=100).collect::<Vec<_>>());
-        let slice: Vec<u32> = (0..50).collect();
-        let out = par_try_map(Parallelism::fixed(3), &slice, |&x| x * 3).unwrap();
-        assert_eq!(out, slice.iter().map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    /// An unlimited budget makes the budgeted map equivalent to the
-    /// plain one: every item done, none skipped, at any thread count.
-    #[test]
-    fn budgeted_map_unlimited_is_complete() {
+    fn core_cancelled_returns_contiguous_prefix() {
         for threads in [1, 2, 8] {
-            let partial = par_try_map_budgeted(
-                Parallelism::fixed(threads),
-                500,
-                &Budget::unlimited(),
-                |i| i * 3,
-            )
-            .unwrap();
-            assert!(partial.is_complete(), "threads={threads}");
-            assert_eq!(partial.done, (0..500).map(|i| i * 3).collect::<Vec<_>>());
-        }
-    }
-
-    /// A pre-cancelled budget stops the sweep before any work: the
-    /// degenerate-but-valid empty prefix.
-    #[test]
-    fn budgeted_map_cancelled_before_start() {
-        let token = CancelToken::new();
-        token.cancel();
-        for threads in [1, 2, 8] {
-            let partial = par_try_map_budgeted(
-                Parallelism::fixed(threads),
-                100,
-                &Budget::unlimited().with_cancel(token.clone()),
-                |i| i,
-            )
-            .unwrap();
-            assert_eq!(partial.done.len(), 0, "threads={threads}");
-            assert_eq!(partial.skipped, 100, "threads={threads}");
-        }
-    }
-
-    /// An expired deadline mid-sweep yields a contiguous prefix: the
-    /// done results are exactly `f(0..done.len())`.
-    #[test]
-    fn budgeted_map_partial_is_contiguous_prefix() {
-        let hits = AtomicU64::new(0);
-        let token = CancelToken::new();
-        let tok = token.clone();
-        // Cancel after ~40 items have been evaluated (any thread).
-        let partial = par_try_map_budgeted(
-            Parallelism::fixed(4),
-            10_000,
-            &Budget::unlimited().with_cancel(token.clone()),
-            move |i| {
+            let token = CancelToken::new();
+            let cancelled = RunCtx {
+                budget: Budget::unlimited().with_cancel(token.clone()),
+                ..ctx(threads)
+            };
+            let hits = AtomicU64::new(0);
+            // Cancel after ~40 items have been evaluated (any thread).
+            let partial = par_try_map_indexed(&cancelled, "sweep", 10_000, |i| {
                 if hits.fetch_add(1, Ordering::Relaxed) == 40 {
-                    tok.cancel();
+                    token.cancel();
                 }
                 i * 2
-            },
-        )
-        .unwrap();
-        assert!(partial.skipped > 0, "cancellation should have skipped the tail");
-        assert_eq!(partial.done.len() + partial.skipped, 10_000);
-        assert_eq!(partial.done, (0..partial.done.len()).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    /// A panic inside the prefix of a budgeted sweep surfaces as the
-    /// same deterministic WorkerPanic error as the unbudgeted map.
-    #[test]
-    fn budgeted_map_reports_prefix_panic() {
-        let quiet = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        for threads in [1, 2, 8] {
-            let r = par_try_map_budgeted(
-                Parallelism::fixed(threads),
-                50,
-                &Budget::unlimited(),
-                |i| {
-                    if i == 11 {
-                        panic!("boom at {i}");
-                    }
-                    i
-                },
-            );
-            assert_eq!(
-                r,
-                Err(WorkerPanic { index: 11, message: "boom at 11".into() }),
-                "threads={threads}"
-            );
-        }
-        std::panic::set_hook(quiet);
-    }
-
-    /// The traced wrappers return exactly what the plain maps return and
-    /// record one span per sweep, at any thread count.
-    #[test]
-    fn traced_maps_match_untraced_and_record_spans() {
-        let trace = parinda_trace::Trace::recording();
-        for threads in [1, 2, 8] {
-            let out =
-                par_try_map_indexed_traced(Parallelism::fixed(threads), 100, &trace, "sweep", |i| {
-                    i * 2
-                })
-                .unwrap();
-            assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>(), "threads={threads}");
-            let partial = par_try_map_budgeted_traced(
-                Parallelism::fixed(threads),
-                100,
-                &Budget::unlimited(),
-                &trace,
-                "sweep/budgeted",
-                |i| i,
-            )
+            })
             .unwrap();
-            assert!(partial.is_complete(), "threads={threads}");
+            assert!(partial.skipped > 0, "threads={threads}: cancellation should skip the tail");
+            assert_eq!(partial.done.len() + partial.skipped, 10_000);
+            assert_eq!(partial.done, (0..partial.done.len()).map(|i| i * 2).collect::<Vec<_>>());
+
+            // The token is still set: the next sweep does no work at all.
+            let partial = par_try_map_indexed(&cancelled, "sweep", 100, |i| i).unwrap();
+            assert_eq!((partial.done.len(), partial.skipped), (0, 100), "threads={threads}");
         }
-        let r = trace.snapshot();
-        assert_eq!(r.spans["sweep"].count, 3);
-        assert_eq!(r.spans["sweep/budgeted"].count, 3);
-    }
-
-    /// A disabled trace changes nothing and records nothing.
-    #[test]
-    fn traced_maps_with_disabled_trace_are_transparent() {
-        let trace = parinda_trace::Trace::disabled();
-        let out =
-            par_try_map_indexed_traced(Parallelism::fixed(3), 50, &trace, "sweep", |i| i + 1)
-                .unwrap();
-        assert_eq!(out, (1..=50).collect::<Vec<_>>());
-        assert!(trace.snapshot().spans.is_empty());
-    }
-
-    /// A contained worker panic bumps the recovery counter while the
-    /// error stays identical to the untraced variant.
-    #[test]
-    fn traced_map_counts_recovered_panics() {
-        let quiet = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let trace = parinda_trace::Trace::recording();
-        let r = par_try_map_indexed_traced(Parallelism::fixed(4), 20, &trace, "sweep", |i| {
-            if i == 5 {
-                panic!("boom at {i}");
-            }
-            i
-        });
-        assert_eq!(r, Err(WorkerPanic { index: 5, message: "boom at 5".into() }));
-        assert_eq!(
-            trace.snapshot().counter(parinda_trace::Counter::WorkerPanicsRecovered),
-            1
-        );
-        std::panic::set_hook(quiet);
     }
 
     /// Non-string panic payloads are rendered to a fixed placeholder, so
@@ -756,7 +503,7 @@ mod tests {
     fn non_string_payloads_render_fixed_text() {
         let quiet = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let r = par_try_map_indexed(Parallelism::fixed(2), 4, |i| {
+        let r = par_try_map_indexed(&ctx(2), "sweep", 4, |i| {
             if i == 2 {
                 std::panic::panic_any(42_u64);
             }

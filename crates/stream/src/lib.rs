@@ -444,11 +444,6 @@ impl ConstraintStore {
     pub fn banned(&self) -> impl Iterator<Item = &str> {
         self.banned.iter().map(String::as_str)
     }
-
-    /// Is anything pinned or banned?
-    pub fn is_empty(&self) -> bool {
-        self.pinned.is_empty() && self.banned.is_empty()
-    }
 }
 
 fn valid_name(name: &str) -> Result<&str, StreamError> {
@@ -580,7 +575,7 @@ mod tests {
         let text = "SELECT ra FROM photoobj WHERE objid = 1;
                     SELECT ra FROM photoobj WHERE objid = 2;
                     SELECT dec FROM photoobj WHERE run = 3;";
-        let batch = compress_workload(&parse_workload(text).expect("parses"));
+        let batch = compress_workload(&parse_workload(text).expect("parses"), &Trace::disabled());
         let mut acc = StreamAccumulator::new();
         feed_all(
             &mut acc,

@@ -178,11 +178,6 @@ pub fn fingerprint(sql: &str) -> String {
     fp
 }
 
-/// [`compress_workload_traced`] without observability.
-pub fn compress_workload(workload: &Workload) -> CompressedWorkload {
-    compress_workload_traced(workload, &Trace::disabled())
-}
-
 /// Cluster `workload` into weighted templates under a `cluster` span,
 /// counting [`Counter::TemplatesMerged`].
 ///
@@ -190,7 +185,7 @@ pub fn compress_workload(workload: &Workload) -> CompressedWorkload {
 /// (every statement keeps its own template) — the advisor still answers,
 /// just without the speedup, which is the contract for every degraded
 /// path in the pipeline.
-pub fn compress_workload_traced(workload: &Workload, trace: &Trace) -> CompressedWorkload {
+pub fn compress_workload(workload: &Workload, trace: &Trace) -> CompressedWorkload {
     let _span = trace.span("cluster");
     let degraded = should_fail("workload::cluster");
     let mut by_fp: BTreeMap<String, usize> = BTreeMap::new();
@@ -243,7 +238,7 @@ mod tests {
         let w = wl("SELECT ra FROM photoobj WHERE objid = 1;
                     SELECT ra FROM photoobj WHERE objid = 99999;
                     select   RA from PHOTOOBJ where objid=42;");
-        let c = compress_workload(&w);
+        let c = compress_workload(&w, &Trace::disabled());
         assert_eq!(c.len(), 1);
         assert_eq!(c.templates[0].members, 3);
         assert_eq!(c.templates[0].weight, 3.0);
@@ -256,14 +251,14 @@ mod tests {
         let w = wl("SELECT ra FROM photoobj WHERE objid = 1;
                     SELECT ra, dec FROM photoobj WHERE objid = 1;
                     SELECT ra FROM photoobj WHERE run = 1;");
-        assert_eq!(compress_workload(&w).len(), 3);
+        assert_eq!(compress_workload(&w, &Trace::disabled()).len(), 3);
     }
 
     #[test]
     fn weights_sum_per_cluster() {
         let w = wl("-- weight: 5\nSELECT a FROM t WHERE b = 1;
                     -- weight: 2.5\nSELECT a FROM t WHERE b = 7;");
-        let c = compress_workload(&w);
+        let c = compress_workload(&w, &Trace::disabled());
         assert_eq!(c.len(), 1);
         assert_eq!(c.templates[0].weight, 7.5);
         assert_eq!(c.raw_weight, 7.5);
@@ -274,7 +269,7 @@ mod tests {
         let w = wl("SELECT a FROM t WHERE b = 10;
                     SELECT a FROM u WHERE c = 2;
                     SELECT a FROM t WHERE b = 20;");
-        let c = compress_workload(&w);
+        let c = compress_workload(&w, &Trace::disabled());
         assert_eq!(c.len(), 2);
         // first template keeps the literal from its first member
         assert!(c.templates[0].query.to_string().contains("10"));
@@ -340,7 +335,7 @@ mod tests {
     fn total_weight_is_preserved() {
         let text: String =
             (0..40).map(|i| format!("SELECT ra FROM photoobj WHERE objid = {i};\n")).collect();
-        let c = compress_workload(&wl(&text));
+        let c = compress_workload(&wl(&text), &Trace::disabled());
         assert_eq!(c.len(), 1);
         assert_eq!(c.raw_weight, 40.0);
         assert_eq!(c.weights().iter().sum::<f64>(), 40.0);
@@ -349,7 +344,7 @@ mod tests {
 
     #[test]
     fn empty_workload_compresses_to_empty() {
-        let c = compress_workload(&Workload::default());
+        let c = compress_workload(&Workload::default(), &Trace::disabled());
         assert!(c.is_empty());
         assert_eq!(c.merged(), 0);
         assert_eq!(c.compression_ratio(), 1.0);
@@ -361,7 +356,7 @@ mod tests {
         let w = wl("SELECT a FROM t WHERE b = 1;
                     SELECT a FROM t WHERE b = 2;
                     SELECT a FROM t WHERE b = 3;");
-        let c = compress_workload_traced(&w, &t);
+        let c = compress_workload(&w, &t);
         assert_eq!(c.len(), 1);
         let r = t.snapshot();
         assert_eq!(r.counter(Counter::TemplatesMerged), 2);

@@ -214,10 +214,16 @@ mod tests {
     /// template count stays bounded.
     #[test]
     fn streams_collapse_to_bounded_template_sets() {
-        let sdss = crate::compress::compress_workload(&generate_sdss_stream(2_000, 1));
+        let sdss = crate::compress::compress_workload(
+            &generate_sdss_stream(2_000, 1),
+            &parinda_trace::Trace::disabled(),
+        );
         assert!(sdss.len() <= 128, "sdss stream has {} templates", sdss.len());
         assert!(sdss.len() >= 8, "sdss stream suspiciously uniform: {}", sdss.len());
-        let retail = crate::compress::compress_workload(&generate_retail_stream(2_000, 1));
+        let retail = crate::compress::compress_workload(
+            &generate_retail_stream(2_000, 1),
+            &parinda_trace::Trace::disabled(),
+        );
         assert!(retail.len() <= 64, "retail stream has {} templates", retail.len());
         assert!(retail.len() >= 6);
     }

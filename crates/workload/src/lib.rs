@@ -18,9 +18,7 @@ pub mod parser;
 pub mod retail;
 pub mod sdss;
 
-pub use compress::{
-    compress_workload, compress_workload_traced, fingerprint, CompressedWorkload, QueryTemplate,
-};
+pub use compress::{compress_workload, fingerprint, CompressedWorkload, QueryTemplate};
 pub use datagen::{generate_and_load, synthesize_stats};
 pub use generator::{generate_queries, generate_retail_stream, generate_sdss_stream};
 pub use parser::{parse_workload, Workload, WorkloadEntry};

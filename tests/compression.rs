@@ -12,7 +12,9 @@
 //!   shrinks the branch-and-bound search, which the trace counters
 //!   (`solver_nodes`, `bnb_pruned_by_incumbent`) make observable.
 
-use parinda::{Counter, IlpOptions, IndexSuggestion, Parallelism, Parinda, SelectionMethod, Trace};
+use parinda::{
+    AdviseRequest, Counter, IlpOptions, IndexSuggestion, Parallelism, Parinda, SelectionMethod, Trace,
+};
 use parinda_workload::{
     compress_workload, fingerprint, generate_retail_stream, generate_sdss_stream, retail_catalog,
     retail_load, sdss_catalog, sdss_workload, synthesize_stats, SdssScale, Workload,
@@ -68,7 +70,10 @@ fn check_advising_invariant(mk: fn() -> Parinda, stream: &Workload, rel: f64, sc
 
     // Reference: advise the raw stream, one query per statement.
     let raw = session
-        .suggest_indexes_with(&stream.queries(), budget, SelectionMethod::Ilp, &options)
+        .advise(&AdviseRequest {
+            options: options.clone(),
+            ..AdviseRequest::new(&stream.queries(), budget, SelectionMethod::Ilp)
+        })
         .expect("raw advising");
 
     // Same session, compressed path: templates with summed weights.
@@ -153,12 +158,15 @@ fn exact_duplicate_stream_compresses_losslessly() {
     let stream = duplicated_sdss_stream();
     // setup guard: the 30 base statements must not merge with EACH
     // OTHER (that would mix literals and break exactness)
-    let base_templates = compress_workload(&Workload {
-        entries: sdss_workload()
-            .into_iter()
-            .map(|q| parinda_workload::WorkloadEntry { query: q, weight: 1.0 })
-            .collect(),
-    });
+    let base_templates = compress_workload(
+        &Workload {
+            entries: sdss_workload()
+                .into_iter()
+                .map(|q| parinda_workload::WorkloadEntry { query: q, weight: 1.0 })
+                .collect(),
+        },
+        &Trace::disabled(),
+    );
     assert_eq!(base_templates.len(), 30, "base SDSS statements unexpectedly share a fingerprint");
     check_advising_invariant(sdss_session, &stream, 1e-9, "sdss-duplicates");
 }
@@ -187,7 +195,10 @@ fn warm_start_never_worsens_the_proven_optimum() {
         session.set_trace(Trace::recording());
         let options = IlpOptions { warm_start: warm, ..Default::default() };
         let sugg = session
-            .suggest_indexes_with(&wl, mb << 20, SelectionMethod::Ilp, &options)
+            .advise(&AdviseRequest {
+                options,
+                ..AdviseRequest::new(&wl, mb << 20, SelectionMethod::Ilp)
+            })
             .expect("budgeted ILP");
         let snap = session.trace().snapshot();
         (sugg, snap.counter(Counter::SolverNodes), snap.counter(Counter::BnbPrunedByIncumbent))
@@ -232,7 +243,7 @@ proptest! {
     ) {
         let stream =
             if retail { generate_retail_stream(n, seed) } else { generate_sdss_stream(n, seed) };
-        let c = compress_workload(&stream);
+        let c = compress_workload(&stream, &Trace::disabled());
         prop_assert_eq!(c.raw_statements, n);
         prop_assert_eq!(c.len() + c.merged(), n);
         // stream statements all weigh 1.0, so the totals are integers

@@ -3,10 +3,11 @@
 //! be **bit-identical** for any thread count. Runs on both schemas (SDSS
 //! and retail) so nothing SDSS-specific can mask a race.
 
-use parinda::{AutoPartConfig, Parallelism, Parinda, SelectionMethod};
+use parinda::{AdviseRequest, AutoPartConfig, Parallelism, Parinda, SelectionMethod};
 use parinda_advisor::{generate_candidates, CandidateLimits};
 use parinda_inum::{Configuration, InumModel, InumOptions};
 use parinda_optimizer::CostParams;
+use parinda_parallel::{par_try_map_indexed, RunCtx};
 use parinda_workload::{
     retail_catalog, retail_load, retail_workload, sdss_catalog, sdss_workload, synthesize_stats,
     SdssScale,
@@ -35,12 +36,14 @@ fn assert_bits_eq(a: f64, b: f64, what: &str) {
 fn check_workload_costs(mk: fn() -> Parinda, workload: &[parinda::Select], schema: &str) {
     let session = mk();
     let params = CostParams::default();
-    let baseline = InumModel::build_par(
+    let baseline = InumModel::build_in(
         session.catalog(),
         workload,
+        None,
         params.clone(),
         InumOptions::default(),
-        Parallelism::fixed(1),
+        None,
+        &RunCtx { par: Parallelism::fixed(1), ..RunCtx::default() },
     )
     .unwrap();
     let cands = generate_candidates(&baseline.queries().to_vec(), CandidateLimits::default());
@@ -51,12 +54,14 @@ fn check_workload_costs(mk: fn() -> Parinda, workload: &[parinda::Select], schem
     let full_cost = base.workload_cost(&Configuration::from_ids(ids.iter().copied()));
 
     for threads in THREAD_COUNTS {
-        let mut m = InumModel::build_par(
+        let mut m = InumModel::build_in(
             session.catalog(),
             workload,
+            None,
             params.clone(),
             InumOptions::default(),
-            Parallelism::fixed(threads),
+            None,
+            &RunCtx { par: Parallelism::fixed(threads), ..RunCtx::default() },
         )
         .unwrap();
         let ids: Vec<_> = cands.iter().map(|c| m.register_candidate(c.clone())).collect();
@@ -141,7 +146,7 @@ fn check_partition_suggestions(mk: fn() -> Parinda, workload: &[parinda::Select]
 
 /// A panicking parallel worker must not unwind the process, and must
 /// surface as the **same** [`parinda::ParindaError`] at every thread
-/// count: `par_try_map` evaluates all items and reports the
+/// count: `par_try_map_indexed` evaluates all items and reports the
 /// lowest-indexed panic regardless of scheduling.
 #[test]
 fn worker_panic_yields_identical_error_at_any_thread_count() {
@@ -151,16 +156,14 @@ fn worker_panic_yields_identical_error_at_any_thread_count() {
     let items: Vec<usize> = (0..64).collect();
     let mut reference: Option<parinda::ParindaError> = None;
     for threads in THREAD_COUNTS {
-        let panicked = parinda_parallel::par_try_map(
-            Parallelism::fixed(threads),
-            &items,
-            |&i| {
-                if i % 17 == 5 {
-                    panic!("injected worker failure at item {i}");
-                }
-                i * 2
-            },
-        )
+        let ctx = RunCtx { par: Parallelism::fixed(threads), ..RunCtx::default() };
+        let panicked = par_try_map_indexed(&ctx, "sweep", items.len(), |k| {
+            let i = items[k];
+            if i % 17 == 5 {
+                panic!("injected worker failure at item {i}");
+            }
+            i * 2
+        })
         .expect_err("workers 5, 22, 39, 56 panic");
         let err: parinda::ParindaError = panicked.into();
         match &reference {
@@ -318,7 +321,10 @@ fn check_sparse_dense_agreement(mk: fn() -> Parinda, workload: &[parinda::Select
             session.set_parallelism(Parallelism::fixed(threads));
             let options = parinda::IlpOptions { dense_reference: dense, ..Default::default() };
             let sugg = session
-                .suggest_indexes_with(workload, 2_u64 << 30, SelectionMethod::Ilp, &options)
+                .advise(&AdviseRequest {
+                    options,
+                    ..AdviseRequest::new(workload, 2_u64 << 30, SelectionMethod::Ilp)
+                })
                 .unwrap();
             let fingerprint: Vec<(String, String, Vec<String>, u64)> = sugg
                 .indexes

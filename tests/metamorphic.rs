@@ -17,6 +17,7 @@ use parinda_advisor::{generate_candidates, CandidateLimits};
 use parinda_catalog::MetadataProvider;
 use parinda_inum::{CandidateIndex, Configuration, InumModel, InumOptions};
 use parinda_optimizer::{bind, plan_query, CostParams, PlannerFlags};
+use parinda_parallel::RunCtx;
 use parinda_whatif::{Design, WhatIfIndex};
 use parinda_workload::{
     retail_catalog, retail_load, retail_workload, sdss_catalog, sdss_workload, synthesize_stats,
@@ -121,12 +122,14 @@ fn superset_configuration_never_costs_more() {
     for (schema, mk, wl) in schemas() {
         for threads in THREAD_COUNTS {
             let session = mk();
-            let mut model = InumModel::build_par(
+            let mut model = InumModel::build_in(
                 session.catalog(),
                 &wl,
+                None,
                 CostParams::default(),
                 InumOptions::default(),
-                Parallelism::fixed(threads),
+                None,
+                &RunCtx { par: Parallelism::fixed(threads), ..RunCtx::default() },
             )
             .expect("inum");
             let pool = candidate_pool(&session, &wl, 6);
@@ -208,12 +211,14 @@ fn ilp_benefit_matrix_entries_non_negative() {
     for (schema, mk, wl) in schemas() {
         for threads in THREAD_COUNTS {
             let session = mk();
-            let mut model = InumModel::build_par(
+            let mut model = InumModel::build_in(
                 session.catalog(),
                 &wl,
+                None,
                 CostParams::default(),
                 InumOptions::default(),
-                Parallelism::fixed(threads),
+                None,
+                &RunCtx { par: Parallelism::fixed(threads), ..RunCtx::default() },
             )
             .expect("inum");
             let pool = candidate_pool(&session, &wl, 10);

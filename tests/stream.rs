@@ -3,7 +3,7 @@
 //! the console's streaming verbs, pin the epoch-by-epoch designs as a
 //! golden, and prove the incremental INUM path
 //! ([`parinda_inum::InumModel::apply_delta`], reached through
-//! `Parinda::suggest_indexes_stream`) is bit-identical to a
+//! `Parinda::advise` with `previous`) is bit-identical to a
 //! from-scratch rebuild at 1, 2, and 8 threads.
 //!
 //! Regenerate the golden after an intentional change with:
@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use parinda::{
-    Console, ConsoleReply, IlpOptions, IndexSuggestion, Parallelism, Parinda, SelectionMethod,
+    AdviseRequest, Console, ConsoleReply, IndexSuggestion, Parallelism, Parinda, SelectionMethod,
 };
 use parinda_bench::{drift_scenario, DRIFT_DDL};
 
@@ -156,7 +156,7 @@ fn fingerprint(sugg: &IndexSuggestion) -> (Vec<String>, Vec<(u64, u64)>) {
 }
 
 /// Tentpole acceptance: for every epoch of the scenario,
-/// `suggest_indexes_stream` with the previous epoch's templates
+/// `advise` with the previous epoch's templates
 /// (the `apply_delta` path: only arrived templates are re-bound and
 /// re-populated) returns a suggestion bit-identical to the from-scratch
 /// rebuild — for both solvers, at 1, 2, and 8 threads, and identically
@@ -185,16 +185,11 @@ fn incremental_advise_is_bit_identical_to_full_rebuild() {
                 let previous = (i > 0)
                     .then(|| (epochs[i - 1].0.as_slice(), epochs[i - 1].1.as_slice()));
                 let advise = |prev| {
-                    s.suggest_indexes_stream(
-                        q,
-                        w,
-                        prev,
-                        BUDGET_BYTES,
-                        method,
-                        &IlpOptions::default(),
-                        &[],
-                        &[],
-                    )
+                    s.advise(&AdviseRequest {
+                        weights: Some(w),
+                        previous: prev,
+                        ..AdviseRequest::new(q, BUDGET_BYTES, method)
+                    })
                     .expect("streaming advise")
                 };
                 let incremental = fingerprint(&advise(previous));
@@ -331,7 +326,10 @@ fn streamed_templates_match_batch_compression() {
         });
     }
     acc.advance_epoch(&parinda::Trace::disabled()).expect("advances");
-    let batch = parinda_workload::compress_workload(&parinda_workload::Workload { entries });
+    let batch = parinda_workload::compress_workload(
+        &parinda_workload::Workload { entries },
+        &parinda::Trace::disabled(),
+    );
     let mut streamed: Vec<(String, u64)> = acc
         .templates()
         .iter()
