@@ -3,8 +3,9 @@
 # suite under forced parallelism, the no-panic fuzz gate (reproducible
 # seed), the failpoint matrix, the parinda-lint static-analysis pass
 # (never-crash / determinism / lock-discipline / failpoint-coverage
-# contracts), its fixture corpus, the API-surface grep gate, a smoke run
-# of the E8 bench, and a one-round run of the benchmark workspace.
+# contracts), its fixture corpus, the API-surface grep gate, smoke runs
+# of the E4, E8 and E9 benches, and a one-round run of the benchmark
+# workspace.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -314,6 +315,9 @@ PYEOF
 
 echo "==> lint fixture corpus (the lints are themselves tested)"
 cargo run -q -p parinda-lint --release -- --fixtures
+
+echo "==> e4 ilp-vs-greedy bench (smoke; the one bench that runs the simplex and branch-and-bound)"
+cargo bench -p parinda-bench --bench e4_ilp_vs_greedy -- --test
 
 echo "==> e8 parallel-scaling bench (smoke)"
 cargo bench -p parinda-bench --bench e8_parallel_scaling -- --test

@@ -8,7 +8,7 @@ use std::time::Instant;
 use parinda_parallel::CancelToken;
 use parinda_trace::{Counter, Trace};
 
-use crate::lp::{LinearProgram, LpOutcome, Sense};
+use crate::lp::{LinearProgram, LpOutcome, LpSolution};
 use crate::simplex;
 
 /// Tolerance for calling a relaxation value integral.
@@ -122,6 +122,10 @@ struct Node {
     bound: f64,
     /// (variable, fixed value) pairs along this branch.
     fixings: Vec<(usize, u8)>,
+    /// The node's relaxation when it is already known — the root's, which
+    /// is solved before the search starts to reject infeasible and
+    /// unbounded programs.
+    solved: Option<LpSolution>,
 }
 
 impl PartialEq for Node {
@@ -145,8 +149,10 @@ impl Ord for Node {
 /// Solve a 0/1 integer program by branch-and-bound (maximization).
 pub fn solve_ilp(ip: &IntegerProgram, limits: SolveLimits) -> IlpOutcome {
     let _span = limits.trace.span("ilp_rounds/bnb");
+    // Every node's tableau is laid out in this one buffer.
+    let mut tableau = Vec::new();
     // Root relaxation.
-    let root = match relax(ip, &[]) {
+    let root = match relax(ip, &[], &mut tableau) {
         RelaxResult::Solved(s) => s,
         RelaxResult::Infeasible => return IlpOutcome::Infeasible,
         RelaxResult::Unbounded => return IlpOutcome::Unbounded,
@@ -170,7 +176,7 @@ pub fn solve_ilp(ip: &IntegerProgram, limits: SolveLimits) -> IlpOutcome {
         }
     }
     let mut heap = BinaryHeap::new();
-    heap.push(Node { bound: root.objective, fixings: Vec::new() });
+    heap.push(Node { bound: root.objective, fixings: Vec::new(), solved: Some(root) });
     let mut nodes = 0usize;
     let mut pruned_by_incumbent = 0u64;
     let mut proven = true;
@@ -190,7 +196,7 @@ pub fn solve_ilp(ip: &IntegerProgram, limits: SolveLimits) -> IlpOutcome {
             }
         }
 
-        let sol = match relax(ip, &node.fixings) {
+        let sol = match node.solved.map_or_else(|| relax(ip, &node.fixings, &mut tableau), RelaxResult::Solved) {
             RelaxResult::Solved(s) => s,
             RelaxResult::Infeasible => continue,
             RelaxResult::Unbounded => return IlpOutcome::Unbounded,
@@ -246,7 +252,7 @@ pub fn solve_ilp(ip: &IntegerProgram, limits: SolveLimits) -> IlpOutcome {
                 for v in [1u8, 0u8] {
                     let mut fixings = node.fixings.clone();
                     fixings.push((j, v));
-                    heap.push(Node { bound, fixings });
+                    heap.push(Node { bound, fixings, solved: None });
                 }
             }
         }
@@ -276,7 +282,7 @@ pub fn solve_ilp(ip: &IntegerProgram, limits: SolveLimits) -> IlpOutcome {
 enum RelaxResult {
     /// Optimal relaxation: bound, point, and reduced costs (the
     /// branching order) travel together.
-    Solved(crate::lp::LpSolution),
+    Solved(LpSolution),
     Infeasible,
     Unbounded,
     /// The simplex iteration cap (or an injected fault) stopped the
@@ -285,22 +291,11 @@ enum RelaxResult {
 }
 
 /// Solve the LP relaxation with branch fixings applied as bound changes.
-fn relax(ip: &IntegerProgram, fixings: &[(usize, u8)]) -> RelaxResult {
+fn relax(ip: &IntegerProgram, fixings: &[(usize, u8)], tableau: &mut Vec<f64>) -> RelaxResult {
     if parinda_failpoint::should_fail("solver::relax") {
         return RelaxResult::Limit;
     }
-    let mut lp = ip.lp.clone();
-    for &(j, v) in fixings {
-        match v {
-            0 => lp.set_upper(j, 0.0),
-            _ => {
-                // force x_j = 1 via an equality row (lower bounds are not
-                // part of the model)
-                lp.add_constraint(vec![(j, 1.0)], Sense::Eq, 1.0);
-            }
-        }
-    }
-    match simplex::solve(&lp) {
+    match simplex::solve_fixed(&ip.lp, fixings, tableau) {
         LpOutcome::Optimal(s) => RelaxResult::Solved(s),
         LpOutcome::Infeasible => RelaxResult::Infeasible,
         LpOutcome::Unbounded => RelaxResult::Unbounded,
@@ -313,7 +308,9 @@ fn relax(ip: &IntegerProgram, fixings: &[(usize, u8)]) -> RelaxResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lp::LinearProgram;
+    use crate::lp::{LinearProgram, Sense};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     /// Binary knapsack helper.
     fn knapsack(values: &[f64], weights: &[f64], cap: f64) -> IntegerProgram {
@@ -521,6 +518,169 @@ mod tests {
                 assert!(s.objective.abs() < 1e-9);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// The root relaxation is solved before the search starts and handed
+    /// to the root node, not solved again when that node is popped.
+    #[test]
+    fn integral_root_is_solved_exactly_once() {
+        // everything fits: the relaxation's optimum is the all-ones point
+        let ip = knapsack(&[3.0, 2.0, 1.0], &[1.0, 1.0, 1.0], 10.0);
+        let before = simplex::SOLVES.with(|n| n.get());
+        let s = solved(&ip);
+        assert_eq!(simplex::SOLVES.with(|n| n.get()) - before, 1);
+        assert_eq!(s.nodes, 1);
+        assert!(s.proven_optimal);
+        assert!((s.objective - 6.0).abs() < 1e-9);
+    }
+
+    /// An index-selection-shaped program as the advisor builds it: build
+    /// variables `y`, one `x` per positive (query, candidate) benefit
+    /// with an `x ≤ y` row, one-access-path rows per (query, table) group,
+    /// one storage row, and the −1e-9·size penalty on `y`.
+    struct IndexSelection {
+        ip: IntegerProgram,
+        n_y: usize,
+        /// Per `x`, in variable order: its (query, table) group, its
+        /// benefit, and the candidate it needs built.
+        xs: Vec<((usize, u64), f64, usize)>,
+    }
+
+    impl IndexSelection {
+        fn random(rng: &mut StdRng, n_y: usize) -> IndexSelection {
+            let n_tables = 1 + n_y as u64 / 4;
+            let tables: Vec<u64> = (0..n_y).map(|_| rng.gen_range(0..n_tables)).collect();
+            let sizes: Vec<f64> = (0..n_y).map(|_| rng.gen_range(10..101) as f64).collect();
+            let mut xs = Vec::new();
+            for q in 0..1 + n_y / 2 {
+                for (ci, &table) in tables.iter().enumerate() {
+                    if rng.gen_bool(0.3) {
+                        xs.push(((q, table), rng.gen_range(1..52) as f64, ci));
+                    }
+                }
+            }
+            let mut lp = LinearProgram::new(n_y + xs.len());
+            for j in 0..lp.num_vars() {
+                lp.set_upper(j, 1.0);
+            }
+            for (ci, &s) in sizes.iter().enumerate() {
+                lp.set_objective(ci, -1e-9 * s);
+            }
+            let mut groups: BTreeMap<(usize, u64), Vec<(usize, f64)>> = BTreeMap::new();
+            for (k, &(group, b, ci)) in xs.iter().enumerate() {
+                lp.set_objective(n_y + k, b);
+                lp.add_constraint(vec![(n_y + k, 1.0), (ci, -1.0)], Sense::Le, 0.0);
+                groups.entry(group).or_default().push((n_y + k, 1.0));
+            }
+            for members in groups.into_values().filter(|members| members.len() > 1) {
+                lp.add_constraint(members, Sense::Le, 1.0);
+            }
+            let budget = sizes.iter().sum::<f64>() * (0.2 + 0.4 * rng.gen::<f64>());
+            lp.add_constraint(sizes.iter().copied().enumerate().collect(), Sense::Le, budget);
+            let binary = (0..lp.num_vars()).collect();
+            IndexSelection { ip: IntegerProgram { lp, binary }, n_y, xs }
+        }
+
+        /// The best point that builds exactly the `y` subset `mask`: each
+        /// group takes its most beneficial `x` among the built candidates.
+        fn point(&self, mask: u32) -> Vec<f64> {
+            let mut p = vec![0.0; self.ip.lp.num_vars()];
+            let mut best: BTreeMap<(usize, u64), (f64, usize)> = BTreeMap::new();
+            for (k, &(group, b, ci)) in self.xs.iter().enumerate() {
+                if mask & (1 << ci) != 0 && best.get(&group).is_none_or(|&(top, _)| b > top) {
+                    best.insert(group, (b, k));
+                }
+            }
+            for ci in (0..self.n_y).filter(|ci| mask & (1 << ci) != 0) {
+                p[ci] = 1.0;
+            }
+            for &(_, k) in best.values() {
+                p[self.n_y + k] = 1.0;
+            }
+            p
+        }
+
+        /// Objective of `point(mask)`, `None` when it overflows the budget.
+        fn value(&self, mask: u32) -> Option<f64> {
+            let p = self.point(mask);
+            self.ip.lp.is_feasible(&p, 1e-9).then(|| self.ip.lp.objective_value(&p))
+        }
+
+        /// Enumerated optimum over the `y` subsets that `keep` admits.
+        fn brute_force(&self, keep: impl Fn(u32) -> bool) -> f64 {
+            (0u32..1 << self.n_y)
+                .filter(|&mask| keep(mask))
+                .filter_map(|mask| self.value(mask))
+                .fold(f64::NEG_INFINITY, f64::max)
+        }
+    }
+
+    /// ROADMAP 4a: the branch-and-bound against exhaustive enumeration on
+    /// index-selection-shaped programs, cold and warm-started, and the
+    /// node relaxation's fixings against the enumerated restricted
+    /// problems.
+    #[test]
+    fn index_selection_matches_brute_force() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for case in 0..27 {
+            let inst = IndexSelection::random(&mut rng, 6 + case % 9);
+            let (ip, n_y) = (&inst.ip, inst.n_y);
+            let best = inst.brute_force(|_| true);
+
+            // a feasible, usually suboptimal seed: the best single candidate
+            let single = (0..n_y)
+                .filter_map(|ci| inst.value(1 << ci).map(|v| (v, ci)))
+                .max_by(|a, b| a.0.total_cmp(&b.0))
+                .map_or(0, |(_, ci)| 1u32 << ci);
+            for warm_start in [None, Some(inst.point(single))] {
+                let warm = warm_start.is_some();
+                match solve_ilp(ip, SolveLimits { warm_start, ..SolveLimits::default() }) {
+                    IlpOutcome::Solved(s) => {
+                        assert!(s.proven_optimal, "case {case} warm={warm}");
+                        assert!(
+                            (s.objective - best).abs() < 1e-6,
+                            "case {case} warm={warm}: ilp {} vs brute force {best}",
+                            s.objective
+                        );
+                        assert!(ip.lp.is_feasible(&s.x, 1e-6));
+                    }
+                    other => panic!("case {case} warm={warm}: {other:?}"),
+                }
+            }
+
+            // One variable fixed either way: the relaxation bounds the
+            // enumerated optimum of the restricted problem from above.
+            for j in [case % n_y, n_y - 1] {
+                for v in [0u8, 1] {
+                    let restricted = inst.brute_force(|mask| (mask >> j) & 1 == u32::from(v));
+                    match relax(ip, &[(j, v)], &mut Vec::new()) {
+                        RelaxResult::Solved(s) => {
+                            assert!(s.objective >= restricted - 1e-6, "case {case} y{j}={v}");
+                            assert!((s.x[j] - f64::from(v)).abs() < 1e-9, "case {case} y{j}={v}");
+                        }
+                        RelaxResult::Infeasible => assert_eq!(restricted, f64::NEG_INFINITY),
+                        _ => panic!("case {case} y{j}={v}: relaxation hit a limit"),
+                    }
+                }
+            }
+
+            // Every `y` fixed: what is left is one best `x` per group, so
+            // the relaxation is integral and equals the enumerated value.
+            for _ in 0..6 {
+                // (two draws and-ed: a quarter of the candidates, so that
+                // about half the subsets fit the budget)
+                let mask = (rng.gen::<u32>() & rng.gen::<u32>()) % (1 << n_y);
+                let fixings: Vec<(usize, u8)> =
+                    (0..n_y).map(|ci| (ci, ((mask >> ci) & 1) as u8)).collect();
+                match (relax(ip, &fixings, &mut Vec::new()), inst.value(mask)) {
+                    (RelaxResult::Solved(s), Some(value)) => {
+                        assert!((s.objective - value).abs() < 1e-6, "case {case} mask {mask:b}")
+                    }
+                    (RelaxResult::Infeasible, None) => {}
+                    _ => panic!("case {case} mask {mask:b}: relaxation and enumeration disagree"),
+                }
+            }
         }
     }
 

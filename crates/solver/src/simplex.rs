@@ -2,7 +2,10 @@
 //!
 //! Finite upper bounds are materialized as explicit `x ≤ u` rows, which
 //! keeps the tableau logic textbook-simple; the instances PARINDA produces
-//! (hundreds of variables) stay comfortably small.
+//! (hundreds of variables) stay comfortably small. The tableau is one
+//! row-major buffer and carries the running phase's reduced-cost row
+//! through every pivot, so an iteration costs its pivot plus one O(n)
+//! pricing scan.
 
 use crate::lp::{LinearProgram, LpOutcome, LpSolution, Sense};
 
@@ -10,114 +13,165 @@ const EPS: f64 = 1e-9;
 
 /// Solve an LP with the two-phase simplex method.
 pub fn solve(lp: &LinearProgram) -> LpOutcome {
+    solve_fixed(lp, &[], &mut Vec::new())
+}
+
+/// Solve `lp` with branch fixings `(variable, 0 | 1)` applied: the
+/// branch-and-bound's node relaxation, built straight from the root
+/// program instead of from a modified copy of it. `buffer` holds the
+/// tableau; a search passes the same one to every node, so its megabytes
+/// are allocated once per search, not once per node.
+pub(crate) fn solve_fixed(
+    lp: &LinearProgram,
+    fixings: &[(usize, u8)],
+    buffer: &mut Vec<f64>,
+) -> LpOutcome {
     if parinda_failpoint::should_fail("solver::simplex") {
         return LpOutcome::IterationLimit;
     }
-    Tableau::build(lp).solve(lp)
+    #[cfg(test)]
+    SOLVES.with(|n| n.set(n.get() + 1));
+    let mut tableau = Tableau::build(lp, fixings, std::mem::take(buffer));
+    let outcome = tableau.solve(lp);
+    *buffer = tableau.a;
+    outcome
 }
 
 struct Tableau {
-    /// Full tableau: rows = constraints, cols = structural + slack/surplus
-    /// + artificial + rhs.
-    a: Vec<Vec<f64>>,
+    /// Full tableau, row-major with `stride` entries per row: rows =
+    /// constraints, cols = structural + slack/surplus + artificial + rhs.
+    a: Vec<f64>,
+    stride: usize,
     /// Basis: for each row, the column currently basic in it.
     basis: Vec<usize>,
+    /// Per column: is it in `basis`?
+    in_basis: Vec<bool>,
+    /// Reduced-cost row `r_j = c_j − c_B·a_j` of the running phase's
+    /// objective. Computed once when the phase starts, then carried
+    /// through every pivot, so pricing is one scan over it. The column
+    /// that just entered is exactly 0.0; other basic columns may carry
+    /// rounding dust and are masked by `in_basis`.
+    r: Vec<f64>,
     n_struct: usize,
+    /// First artificial column; artificials fill `[first_art, n_total)`.
+    first_art: usize,
     n_total: usize,
-    artificial_cols: Vec<usize>,
     max_iters: usize,
+    /// Test-only reference mode: re-derive `r` from scratch before every
+    /// pricing scan, as the solver did before the row was maintained.
+    #[cfg(test)]
+    from_scratch: bool,
+}
+
+/// One tableau row before it is laid out, normalized to `rhs >= 0`;
+/// `terms` borrows from the program and is scaled by `sign`.
+struct Row<'a> {
+    terms: &'a [(usize, f64)],
+    sign: f64,
+    sense: Sense,
+    rhs: f64,
+}
+
+impl<'a> Row<'a> {
+    fn new(terms: &'a [(usize, f64)], sense: Sense, rhs: f64) -> Self {
+        let flip = rhs < 0.0;
+        let sense = match sense {
+            Sense::Le if flip => Sense::Ge,
+            Sense::Ge if flip => Sense::Le,
+            same => same,
+        };
+        let sign = if flip { -1.0 } else { 1.0 };
+        Row { terms, sign, sense, rhs: sign * rhs }
+    }
 }
 
 impl Tableau {
-    fn build(lp: &LinearProgram) -> Tableau {
-        // Collect all rows: user constraints + finite upper bounds.
-        struct RowSpec {
-            terms: Vec<(usize, f64)>,
-            sense: Sense,
-            rhs: f64,
+    /// Lay out `lp` with `fixings` applied. Rows, in order: the program's
+    /// constraints, one `x_j = 1` row per variable fixed to 1 (lower
+    /// bounds are not part of the model), then one `x_j ≤ u_j` row per
+    /// finite upper bound, where a variable fixed to 0 has `u_j = 0`.
+    fn build(lp: &LinearProgram, fixings: &[(usize, u8)], mut a: Vec<f64>) -> Tableau {
+        let n = lp.num_vars();
+        let mut upper = lp.upper.clone();
+        for &(j, v) in fixings {
+            if v == 0 {
+                upper[j] = 0.0;
+            }
         }
-        let mut rows: Vec<RowSpec> = lp
+        let units: Vec<(usize, f64)> = (0..n).map(|j| (j, 1.0)).collect();
+        let unit_row = |j: usize, sense, rhs| Row::new(&units[j..=j], sense, rhs);
+        let rows: Vec<Row<'_>> = lp
             .constraints
             .iter()
-            .map(|c| RowSpec { terms: c.terms.clone(), sense: c.sense, rhs: c.rhs })
+            .map(|c| Row::new(&c.terms, c.sense, c.rhs))
+            .chain(fixings.iter().filter(|f| f.1 != 0).map(|f| unit_row(f.0, Sense::Eq, 1.0)))
+            .chain(
+                upper
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, u)| u.is_finite())
+                    .map(|(j, &u)| unit_row(j, Sense::Le, u)),
+            )
             .collect();
-        for (j, &u) in lp.upper.iter().enumerate() {
-            if u.is_finite() {
-                rows.push(RowSpec { terms: vec![(j, 1.0)], sense: Sense::Le, rhs: u });
-            }
-        }
-
-        // Normalize to rhs >= 0.
-        for r in &mut rows {
-            if r.rhs < 0.0 {
-                for t in &mut r.terms {
-                    t.1 = -t.1;
-                }
-                r.rhs = -r.rhs;
-                r.sense = match r.sense {
-                    Sense::Le => Sense::Ge,
-                    Sense::Ge => Sense::Le,
-                    Sense::Eq => Sense::Eq,
-                };
-            }
-        }
-
-        let m = rows.len();
-        let n = lp.num_vars();
 
         // Column layout: [0, n) structural; then one slack/surplus per
         // inequality; then artificials; last = rhs.
+        let m = rows.len();
         let n_slack = rows.iter().filter(|r| r.sense != Sense::Eq).count();
         let n_art = rows.iter().filter(|r| r.sense != Sense::Le).count();
-        let n_total = n + n_slack + n_art;
+        let first_art = n + n_slack;
+        let n_total = first_art + n_art;
+        let stride = n_total + 1;
 
-        let mut a = vec![vec![0.0; n_total + 1]; m];
-        let mut basis = vec![usize::MAX; m];
+        a.clear();
+        a.resize(m * stride, 0.0);
+        let mut basis = Vec::with_capacity(m);
         let mut slack_next = n;
-        let mut art_next = n + n_slack;
-        let mut artificial_cols = Vec::new();
-
-        for (i, r) in rows.iter().enumerate() {
-            for &(j, coef) in &r.terms {
-                a[i][j] += coef;
+        let mut art_next = first_art;
+        for (r, row) in rows.iter().zip(a.chunks_exact_mut(stride)) {
+            for &(j, coef) in r.terms {
+                row[j] += r.sign * coef;
             }
-            a[i][n_total] = r.rhs;
-            match r.sense {
-                Sense::Le => {
-                    a[i][slack_next] = 1.0;
-                    basis[i] = slack_next;
-                    slack_next += 1;
-                }
-                Sense::Ge => {
-                    a[i][slack_next] = -1.0;
-                    slack_next += 1;
-                    a[i][art_next] = 1.0;
-                    basis[i] = art_next;
-                    artificial_cols.push(art_next);
-                    art_next += 1;
-                }
-                Sense::Eq => {
-                    a[i][art_next] = 1.0;
-                    basis[i] = art_next;
-                    artificial_cols.push(art_next);
-                    art_next += 1;
-                }
+            row[n_total] = r.rhs;
+            if r.sense != Sense::Eq {
+                row[slack_next] = if r.sense == Sense::Le { 1.0 } else { -1.0 };
+                slack_next += 1;
+            }
+            if r.sense == Sense::Le {
+                basis.push(slack_next - 1);
+            } else {
+                row[art_next] = 1.0;
+                basis.push(art_next);
+                art_next += 1;
             }
         }
+        let mut in_basis = vec![false; n_total];
+        for &b in &basis {
+            in_basis[b] = true;
+        }
 
-        let max_iters = 200 * (m + n_total + 16);
-        Tableau { a, basis, n_struct: n, n_total, artificial_cols, max_iters }
+        Tableau {
+            a,
+            stride,
+            basis,
+            in_basis,
+            r: vec![0.0; n_total],
+            n_struct: n,
+            first_art,
+            n_total,
+            max_iters: 200 * (m + n_total + 16),
+            #[cfg(test)]
+            from_scratch: false,
+        }
     }
 
-    fn solve(mut self, lp: &LinearProgram) -> LpOutcome {
+    fn solve(&mut self, lp: &LinearProgram) -> LpOutcome {
         // Phase 1: minimize the sum of artificials (maximize the negated
         // sum) — only needed when artificials exist.
-        if !self.artificial_cols.is_empty() {
+        if self.first_art < self.n_total {
             let mut obj = vec![0.0; self.n_total];
-            for &c in &self.artificial_cols {
-                obj[c] = -1.0;
-            }
-            match self.optimize(&obj) {
+            obj[self.first_art..].fill(-1.0);
+            match self.optimize(&obj, self.n_total) {
                 Phase::Optimal(v) => {
                     if v < -1e-7 {
                         return LpOutcome::Infeasible;
@@ -128,10 +182,9 @@ impl Tableau {
             }
             // Drive any artificial still basic (at zero) out of the basis.
             for i in 0..self.basis.len() {
-                if self.artificial_cols.contains(&self.basis[i]) {
-                    if let Some(j) = (0..self.n_struct + self.n_slack_count())
-                        .find(|&j| self.a[i][j].abs() > 1e-7)
-                    {
+                if self.basis[i] >= self.first_art {
+                    let candidates = &self.row(i)[..self.first_art];
+                    if let Some(j) = candidates.iter().position(|v| v.abs() > 1e-7) {
                         self.pivot(i, j);
                     }
                 }
@@ -139,11 +192,10 @@ impl Tableau {
         }
 
         // Phase 2: the real objective (artificials pinned at zero by
-        // removing them from pricing).
+        // keeping them out of pricing).
         let mut obj = vec![0.0; self.n_total];
         obj[..self.n_struct].copy_from_slice(&lp.objective);
-        let blocked: Vec<usize> = self.artificial_cols.clone();
-        match self.optimize_blocked(&obj, &blocked) {
+        match self.optimize(&obj, self.first_art) {
             Phase::Optimal(v) => {
                 let mut x = vec![0.0; self.n_struct];
                 for (i, &b) in self.basis.iter().enumerate() {
@@ -151,7 +203,11 @@ impl Tableau {
                         x[b] = self.rhs(i);
                     }
                 }
-                let reduced_costs = self.structural_reduced_costs(&obj);
+                // Basic columns report exactly 0.0 — the branch-and-bound
+                // orders its branching by these.
+                let reduced_costs = (0..self.n_struct)
+                    .map(|j| if self.in_basis[j] { 0.0 } else { self.r[j] })
+                    .collect();
                 LpOutcome::Optimal(LpSolution { x, objective: v, reduced_costs })
             }
             Phase::Unbounded => LpOutcome::Unbounded,
@@ -159,72 +215,54 @@ impl Tableau {
         }
     }
 
-    /// Reduced costs `r_j = c_j - c_B·a_j` of the structural columns at
-    /// the current (optimal) basis; basic columns report exactly 0.0.
-    /// Same pricing loop as [`Tableau::optimize_blocked`], same summation
-    /// order — a pure readout that performs no pivots, so exporting it
-    /// cannot perturb the solution.
-    fn structural_reduced_costs(&self, obj: &[f64]) -> Vec<f64> {
-        let cb: Vec<f64> = self.basis.iter().map(|&b| obj[b]).collect();
-        (0..self.n_struct)
-            .map(|j| {
-                if self.basis.contains(&j) {
-                    return 0.0;
+    fn row(&self, i: usize) -> &[f64] {
+        &self.a[i * self.stride..(i + 1) * self.stride]
+    }
+
+    fn rhs(&self, i: usize) -> f64 {
+        self.row(i)[self.n_total]
+    }
+
+    /// Reduced costs of `obj` at the current basis, from scratch:
+    /// `r_j = c_j − Σ_i c_B[i]·a[i][j]`, rows summed in order.
+    fn reduced_cost_row(&self, obj: &[f64]) -> Vec<f64> {
+        let mut r = obj.to_vec();
+        for (&b, row) in self.basis.iter().zip(self.a.chunks_exact(self.stride)) {
+            let ci = obj[b];
+            if ci != 0.0 {
+                for (rj, aij) in r.iter_mut().zip(row) {
+                    *rj -= ci * aij;
                 }
-                let mut r = obj[j];
-                for (ci, row) in cb.iter().zip(&self.a) {
-                    if *ci != 0.0 {
-                        r -= ci * row[j];
-                    }
-                }
-                r
-            })
-            .collect()
+            }
+        }
+        r
     }
 
-    fn n_slack_count(&self) -> usize {
-        self.n_total - self.n_struct - self.artificial_cols.len()
-    }
-
-    fn rhs(&self, row: usize) -> f64 {
-        self.a[row][self.n_total]
-    }
-
-    fn optimize(&mut self, obj: &[f64]) -> Phase {
-        self.optimize_blocked(obj, &[])
-    }
-
-    /// Primal simplex over the current basis, maximizing `obj`, never
-    /// letting `blocked` columns enter. Returns the objective value.
-    fn optimize_blocked(&mut self, obj: &[f64], blocked: &[usize]) -> Phase {
-        let m = self.a.len();
-        // reduced costs: z_j - c_j computed from scratch each iteration on
-        // the (small) dense tableau.
+    /// Primal simplex over the current basis, maximizing `obj`; only
+    /// columns below `price_end` may enter. Returns the objective value.
+    fn optimize(&mut self, obj: &[f64], price_end: usize) -> Phase {
+        self.r = self.reduced_cost_row(obj);
         for iter in 0..self.max_iters {
-            // price: reduced cost r_j = c_j - Σ_i c_B[i] * a[i][j]
-            let cb: Vec<f64> = self.basis.iter().map(|&b| obj[b]).collect();
+            #[cfg(test)]
+            if self.from_scratch {
+                self.r = self.reduced_cost_row(obj);
+            }
+            // price: the largest reduced cost among the nonbasic columns
             let mut entering: Option<usize> = None;
             let mut best = EPS;
             let bland = iter > self.max_iters / 2;
-            for j in 0..self.n_total {
-                if blocked.contains(&j) || self.basis.contains(&j) {
-                    continue;
-                }
-                let mut r = obj[j];
-                for (ci, row) in cb.iter().zip(&self.a) {
-                    if *ci != 0.0 {
-                        r -= ci * row[j];
-                    }
-                }
-                if r > best {
+            for (j, &rj) in self.r[..price_end].iter().enumerate() {
+                if rj > best && !self.in_basis[j] {
                     entering = Some(j);
                     if bland {
                         break; // Bland's rule: first improving column
                     }
-                    best = r;
+                    best = rj;
                 }
             }
             let Some(j) = entering else {
+                #[cfg(test)]
+                tests::assert_row_matches_reference(self, obj);
                 // optimal: compute objective value
                 let v: f64 = self
                     .basis
@@ -238,10 +276,10 @@ impl Tableau {
             // ratio test
             let mut leave: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
-            for i in 0..m {
-                let aij = self.a[i][j];
+            for (i, row) in self.a.chunks_exact(self.stride).enumerate() {
+                let aij = row[j];
                 if aij > EPS {
-                    let ratio = self.rhs(i) / aij;
+                    let ratio = row[self.n_total] / aij;
                     if ratio < best_ratio - EPS
                         || (ratio < best_ratio + EPS
                             && leave.is_some_and(|l| self.basis[i] < self.basis[l]))
@@ -260,23 +298,30 @@ impl Tableau {
     }
 
     fn pivot(&mut self, row: usize, col: usize) {
-        let m = self.a.len();
-        let piv = self.a[row][col];
+        let (above, rest) = self.a.split_at_mut(row * self.stride);
+        let (pivot_row, below) = rest.split_at_mut(self.stride);
+        let piv = pivot_row[col];
         debug_assert!(piv.abs() > EPS);
         let inv = 1.0 / piv;
-        for v in &mut self.a[row] {
+        for v in pivot_row.iter_mut() {
             *v *= inv;
         }
-        for i in 0..m {
-            if i != row {
-                let factor = self.a[i][col];
-                if factor.abs() > EPS {
-                    for j in 0..=self.n_total {
-                        self.a[i][j] -= factor * self.a[row][j];
-                    }
+        for other in above.chunks_exact_mut(self.stride).chain(below.chunks_exact_mut(self.stride))
+        {
+            let factor = other[col];
+            if factor.abs() > EPS {
+                for (v, p) in other.iter_mut().zip(pivot_row.iter()) {
+                    *v -= factor * p;
                 }
             }
         }
+        let rc = self.r[col];
+        for (rj, p) in self.r.iter_mut().zip(pivot_row.iter()) {
+            *rj -= rc * p;
+        }
+        self.r[col] = 0.0;
+        self.in_basis[self.basis[row]] = false;
+        self.in_basis[col] = true;
         self.basis[row] = col;
     }
 }
@@ -288,14 +333,109 @@ enum Phase {
 }
 
 #[cfg(test)]
+thread_local! {
+    /// LP solves started on this thread, for tests that count them.
+    pub(crate) static SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::lp::{LinearProgram, Sense};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Every phase end of every solve in this crate's unit tests lands
+    /// here: the row carried through the pivots must equal the row derived
+    /// from scratch at the final basis. A pivot that forgets to update the
+    /// row fails this.
+    pub(super) fn assert_row_matches_reference(t: &Tableau, obj: &[f64]) {
+        let reference = t.reduced_cost_row(obj);
+        for (j, (&kept, &fresh)) in t.r.iter().zip(&reference).enumerate() {
+            assert!(
+                (kept - fresh).abs() <= 1e-9 * (1.0 + fresh.abs()),
+                "reduced cost of column {j}: maintained {kept} vs from scratch {fresh}"
+            );
+        }
+    }
 
     fn optimal(lp: &LinearProgram) -> LpSolution {
         match solve(lp) {
             LpOutcome::Optimal(s) => s,
             other => panic!("expected optimal, got {other:?}"),
+        }
+    }
+
+    /// A random LP that is feasible (built around a known point `x0`) and
+    /// bounded (a variable without an upper bound has a negative
+    /// objective coefficient). `degenerate` puts `x0` on a vertex of the
+    /// box and makes every row tight at it, so many bases share one vertex.
+    fn random_feasible_lp(rng: &mut StdRng, degenerate: bool) -> LinearProgram {
+        let n = rng.gen_range(3..10) as usize;
+        let m = rng.gen_range(2..9) as usize;
+        let mut lp = LinearProgram::new(n);
+        let mut x0 = vec![0.0; n];
+        for (j, x) in x0.iter_mut().enumerate() {
+            let bounded = rng.gen_bool(0.7);
+            let upper = rng.gen_range(1..6) as f64;
+            if bounded {
+                lp.set_upper(j, upper);
+            }
+            let c: f64 = rng.gen();
+            lp.set_objective(j, if bounded { c * 10.0 - 3.0 } else { -c * 5.0 - 0.1 });
+            *x = match (degenerate, bounded) {
+                (true, true) if rng.gen() => upper,
+                (true, _) => 0.0,
+                (false, _) => rng.gen::<f64>() * upper,
+            };
+        }
+        for _ in 0..m {
+            let mut terms = Vec::new();
+            for j in 0..n {
+                let a = rng.gen_range(0..9) as f64 - 3.0;
+                if a != 0.0 && rng.gen_bool(0.6) {
+                    terms.push((j, a));
+                }
+            }
+            let at_x0: f64 = terms.iter().map(|&(j, a)| a * x0[j]).sum();
+            let slack = if degenerate { 0.0 } else { rng.gen::<f64>() * 3.0 };
+            match rng.gen_range(0..3) {
+                0 => lp.add_constraint(terms, Sense::Le, at_x0 + slack),
+                1 => lp.add_constraint(terms, Sense::Ge, at_x0 - slack),
+                _ => lp.add_constraint(terms, Sense::Eq, at_x0),
+            };
+        }
+        assert!(lp.is_feasible(&x0, 1e-9));
+        lp
+    }
+
+    /// The maintained reduced-cost row against the from-scratch reference,
+    /// over mixed `Le`/`Ge`/`Eq` rows, finite upper bounds and a
+    /// degenerate family. `assert_row_matches_reference` checks the row
+    /// at every phase end of both solves; here the solutions are compared
+    /// and basic columns must read out as exactly 0.0.
+    #[test]
+    fn maintained_row_matches_from_scratch_reference() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for case in 0..400 {
+            let lp = random_feasible_lp(&mut rng, case % 2 == 1);
+
+            let mut reference = Tableau::build(&lp, &[], Vec::new());
+            reference.from_scratch = true;
+            let mut kept = Tableau::build(&lp, &[], Vec::new());
+            let (LpOutcome::Optimal(want), LpOutcome::Optimal(got)) =
+                (reference.solve(&lp), kept.solve(&lp))
+            else {
+                panic!("case {case}: a feasible bounded LP must solve to optimality: {lp:?}");
+            };
+
+            assert!(lp.is_feasible(&got.x, 1e-6), "case {case}");
+            assert!((got.objective - want.objective).abs() < 1e-7, "case {case}");
+            for (a, b) in got.x.iter().zip(&want.x) {
+                assert!((a - b).abs() < 1e-6, "case {case}: {:?} vs {:?}", got.x, want.x);
+            }
+            for &b in kept.basis.iter().filter(|&&b| b < lp.num_vars()) {
+                assert_eq!(got.reduced_costs[b], 0.0, "case {case}: basic column {b}");
+            }
         }
     }
 
