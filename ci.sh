@@ -33,6 +33,19 @@ if find "${surface[@]}" -name '*.rs' -print0 | xargs -0 awk '
     echo "pub fn under #[allow(clippy::too_many_arguments)]: group the parameters into the request/context structs"
     exit 1
 fi
+# One what-if costing path (DESIGN.md, "What-if costing path"): only the
+# rewriter itself and `WhatIfDesign::cheaper_rewrite` may call
+# `rewrite_select`; everything else rewrites, binds, plans and compares
+# through `WhatIfDesign`. Test code (`tests/` dirs, `#[cfg(test)]`
+# modules) is exempt.
+if find crates src -path '*/tests' -prune -o -name '*.rs' -print0 | xargs -0 awk '
+    FILENAME ~ /crates\/advisor\/src\/(rewrite|whatif_design)\.rs$/ { nextfile }
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /rewrite_select\(/ && $0 !~ /^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit !bad }'; then
+    echo "rewrite_select called outside the what-if costing path: go through parinda_advisor::WhatIfDesign::cheaper_rewrite"
+    exit 1
+fi
 
 echo "==> tier-1: tests (whole workspace; includes the lint fixture corpus)"
 cargo test -q --workspace

@@ -8,15 +8,15 @@
 //!    candidate design with what-if partitions; keep the best improvement
 //!    that fits the replication constraint; stop when no improvement.
 
-use parinda_catalog::{Catalog, MetadataProvider, TableId};
+use parinda_catalog::{Catalog, TableId};
 use parinda_optimizer::{bind, plan_query, CostParams, PlannerFlags};
 use parinda_parallel::{par_map, par_map_indexed, BudgetReport, RunCtx};
 use parinda_sql::Select;
-use parinda_trace::Counter;
-use parinda_whatif::{HypotheticalCatalog, WhatIfPartition};
+use parinda_trace::{Counter, Trace};
 
 use crate::fragments::{atomic_fragments, replication_overhead, Fragment};
-use crate::rewrite::{rewrite_select, NamedFragment, PartitionDesign};
+use crate::rewrite::PartitionDesign;
+use crate::whatif_design::WhatIfDesign;
 
 /// AutoPart configuration.
 #[derive(Debug, Clone, Copy)]
@@ -167,10 +167,10 @@ pub fn suggest_partitions(
 
     // Evaluate the starting (atomic) design.
     let qtables = query_tables(&bound);
+    let run = EvalCtx { catalog, workload, params, flags, base_costs, qtables };
     let mut memo: CostMemo = CostMemo::new();
-    let mut best_total = design_cost(
-        catalog, workload, &selected, &params, &flags, &base_costs, &qtables, &mut memo,
-    );
+    let (mut best_total, first_entries) = run.design_cost_snapshot(&selected, &memo);
+    memo.extend(first_entries);
     let mut iterations = 0usize;
 
     // Improvement loop. When the current design exceeds the replication
@@ -258,11 +258,8 @@ pub fn suggest_partitions(
             .collect();
         let memo_ref = &memo;
         trace.count(Counter::CandidatesEvaluated, viable.len() as u64);
-        let evaluated: Vec<(f64, Vec<MemoEntry>)> = par_map(par, &viable, |cand| {
-            design_cost_snapshot(
-                catalog, workload, cand, &params, &flags, &base_costs, &qtables, memo_ref,
-            )
-        });
+        let evaluated: Vec<(f64, Vec<MemoEntry>)> =
+            par_map(par, &viable, |cand| run.design_cost_snapshot(cand, memo_ref));
         for (cand, (total, new_entries)) in viable.into_iter().zip(evaluated) {
             for (k, v) in new_entries {
                 memo.entry(k).or_insert(v);
@@ -299,43 +296,37 @@ pub fn suggest_partitions(
     }
 
     // Full evaluation (with rewrites) only for the final design.
-    let mut best_eval = evaluate_design(catalog, workload, &selected, &params, &flags, &base_costs);
+    let all: Vec<usize> = (0..workload.len()).collect();
+    let (mut design, evaluated) = run.evaluate(&selected, &all);
+    let mut cost_after = 0.0;
+    let mut per_query = Vec::with_capacity(workload.len());
+    let mut rewritten = Vec::with_capacity(workload.len());
+    for ((sel, &before), (after, rw)) in workload.iter().zip(&run.base_costs).zip(evaluated) {
+        cost_after += after;
+        per_query.push((before, after));
+        rewritten.push(rw.unwrap_or_else(|| sel.clone()));
+    }
 
     // Drop fragments no rewritten query references: they add replication
     // without benefit (the costs are unaffected since no plan uses them).
-    let used: std::collections::BTreeSet<String> = best_eval
-        .rewritten
+    let used: std::collections::BTreeSet<&str> = rewritten
         .iter()
-        .flat_map(|rw| rw.from.iter().map(|t| t.name.clone()))
+        .flat_map(|rw| rw.from.iter().map(|t| t.name.as_str()))
         .collect();
-    best_eval.design.fragments.retain(|nf| used.contains(&nf.name));
+    design.fragments.retain(|nf| used.contains(nf.name.as_str()));
 
-    // The final answer keeps only fragments that help (tables whose
-    // rewritten queries got cheaper); simple post-filter: drop tables where
-    // partitioning brought no gain.
     let degraded = budget_stopped || budget.interrupted();
     Ok(PartitionSuggestion {
-        design: best_eval.design,
+        design,
         cost_before,
-        cost_after: best_eval.total,
-        per_query: base_costs
-            .iter()
-            .zip(&best_eval.per_query)
-            .map(|(&b, &a)| (b, a))
-            .collect(),
-        rewritten: best_eval.rewritten,
+        cost_after,
+        per_query,
+        rewritten,
         iterations,
         degraded,
         budget: degraded
             .then(|| budget.report(iterations, config.max_iterations.saturating_sub(iterations))),
     })
-}
-
-struct Evaluation {
-    total: f64,
-    per_query: Vec<f64>,
-    rewritten: Vec<Select>,
-    design: PartitionDesign,
 }
 
 /// Memo for the selection loop: per-query cost keyed by the fragment sets
@@ -384,173 +375,84 @@ fn relevant_fragments(
     key
 }
 
-/// Search-time cost of a fragment set, with per-query memoization keyed by
-/// the fragment sets of the tables the query touches.
-#[allow(clippy::too_many_arguments)]
-fn design_cost(
-    catalog: &Catalog,
-    workload: &[Select],
-    fragments: &[Fragment],
-    params: &CostParams,
-    flags: &PlannerFlags,
-    base_costs: &[f64],
-    qtables: &[Vec<(TableId, Vec<usize>)>],
-    memo: &mut CostMemo,
-) -> f64 {
-    let (total, new_entries) =
-        design_cost_snapshot(catalog, workload, fragments, params, flags, base_costs, qtables, memo);
-    memo.extend(new_entries);
-    total
-}
-
-/// [`design_cost`] against a read-only memo: returns the design's total
-/// plus the entries that were missing, so concurrent candidate evaluations
-/// can share one frozen memo and merge their discoveries afterwards.
-/// Entry values are pure functions of their keys, so the merged table does
-/// not depend on which candidate computed an entry first.
-#[allow(clippy::too_many_arguments)]
-fn design_cost_snapshot(
-    catalog: &Catalog,
-    workload: &[Select],
-    fragments: &[Fragment],
-    params: &CostParams,
-    flags: &PlannerFlags,
-    base_costs: &[f64],
-    qtables: &[Vec<(TableId, Vec<usize>)>],
-    memo: &CostMemo,
-) -> (f64, Vec<MemoEntry>) {
-    if parinda_failpoint::should_fail("advisor::autopart_eval") {
-        // Injected fault: this candidate design looks infinitely bad, so
-        // the round keeps whatever real evaluations it has.
-        return (f64::INFINITY, Vec::new());
-    }
-    let mut total = 0.0;
-    let mut pending: Vec<usize> = Vec::new();
-    for (qi, tables) in qtables.iter().enumerate() {
-        let key = relevant_fragments(fragments, tables);
-        match memo.get(&(qi, key)) {
-            Some(&c) => total += c,
-            None => pending.push(qi),
-        }
-    }
-    if pending.is_empty() {
-        return (total, Vec::new());
-    }
-    // Evaluate the pending queries under this design in one overlay pass.
-    let eval = evaluate_design_subset(catalog, workload, fragments, params, flags, base_costs, &pending);
-    let mut new_entries = Vec::with_capacity(pending.len());
-    for (qi, cost) in pending.iter().zip(&eval) {
-        let key = relevant_fragments(fragments, &qtables[*qi]);
-        total += *cost;
-        new_entries.push(((*qi, key), *cost));
-    }
-    (total, new_entries)
-}
-
-/// Plan only `subset` of the workload under a simulated design; returns
-/// their costs in subset order.
-fn evaluate_design_subset(
-    catalog: &Catalog,
-    workload: &[Select],
-    fragments: &[Fragment],
-    params: &CostParams,
-    flags: &PlannerFlags,
-    base_costs: &[f64],
-    subset: &[usize],
-) -> Vec<f64> {
-    let (overlay, design) = simulate_fragments(catalog, fragments);
-    subset
-        .iter()
-        .map(|&i| {
-            let fallback = base_costs[i];
-            rewrite_select(&workload[i], &overlay, &design)
-                .ok()
-                .and_then(|rw| {
-                    let q = bind(&rw, &overlay).ok()?;
-                    let p = plan_query(&q, &overlay, params, flags).ok()?;
-                    Some(p.cost.total)
-                })
-                .filter(|&c| c < fallback)
-                .unwrap_or(fallback)
-        })
-        .collect()
-}
-
-/// Simulate a fragment set on an overlay, returning the overlay and the
-/// named design used by the rewriter.
-fn simulate_fragments<'a>(
+/// What every design evaluation of one AutoPart run reads.
+struct EvalCtx<'a> {
     catalog: &'a Catalog,
-    fragments: &[Fragment],
-) -> (HypotheticalCatalog<'a>, PartitionDesign) {
-    let mut design = PartitionDesign::default();
-    let mut overlay = HypotheticalCatalog::new(catalog);
-    let mut counters: std::collections::HashMap<TableId, usize> = std::collections::HashMap::new();
-    for f in fragments {
-        let n = counters.entry(f.table).or_insert(0);
-        *n += 1;
-        // A fragment whose parent table vanished from the catalog, whose
-        // column indexes are stale, or whose simulation is rejected is
-        // skipped rather than fatal: the rewriter never references it and
-        // the affected queries keep their original plans — degraded, not
-        // crashed.
-        let Some(parent) = catalog.table(f.table) else { continue };
-        let name = format!("{}_p{n}", parent.name);
-        let cols: Vec<String> = f
-            .columns
-            .iter()
-            .filter_map(|&i| parent.columns.get(i).map(|c| c.name.clone()))
-            .collect();
-        if cols.len() != f.columns.len() {
-            continue;
-        }
-        let colrefs: Vec<&str> = cols.iter().map(|s| s.as_str()).collect();
-        let def = WhatIfPartition::new(name.clone(), parent.name.clone(), &colrefs);
-        if parinda_whatif::simulate_partition(&mut overlay, &def).is_err() {
-            continue;
-        }
-        design.fragments.push(NamedFragment { name, fragment: f.clone() });
-    }
-    (overlay, design)
+    workload: &'a [Select],
+    params: CostParams,
+    flags: PlannerFlags,
+    /// Per query: its cost on the original design, the bar a rewrite must
+    /// beat.
+    base_costs: Vec<f64>,
+    qtables: Vec<Vec<(TableId, Vec<usize>)>>,
 }
 
-/// Evaluate a fragment set: simulate the partitions, rewrite the workload,
-/// plan everything, sum the costs. Falls back to the original statement
-/// when a query cannot be rewritten or the rewrite is not cheaper.
-fn evaluate_design(
-    catalog: &Catalog,
-    workload: &[Select],
-    fragments: &[Fragment],
-    params: &CostParams,
-    flags: &PlannerFlags,
-    base_costs: &[f64],
-) -> Evaluation {
-    let (overlay, design) = simulate_fragments(catalog, fragments);
-
-    // Rewrite + plan each query.
-    let mut total = 0.0;
-    let mut per_query = Vec::with_capacity(workload.len());
-    let mut rewritten_out = Vec::with_capacity(workload.len());
-    for (i, sel) in workload.iter().enumerate() {
-        let fallback = base_costs[i];
-        let outcome = rewrite_select(sel, &overlay, &design)
-            .ok()
-            .and_then(|rw| {
-                let q = bind(&rw, &overlay).ok()?;
-                let p = plan_query(&q, &overlay, params, flags).ok()?;
-                Some((rw, p.cost.total))
-            });
-        match outcome {
-            Some((rw, cost)) if cost < fallback => {
-                total += cost;
-                per_query.push(cost);
-                rewritten_out.push(rw);
-            }
-            _ => {
-                total += fallback;
-                per_query.push(fallback);
-                rewritten_out.push(sel.clone());
+impl EvalCtx<'_> {
+    /// Search-time cost of a fragment set against a read-only memo keyed
+    /// by the fragment sets of the tables each query touches. Returns the
+    /// design's total plus the entries that were missing, so concurrent
+    /// candidate evaluations can share one frozen memo and merge their
+    /// discoveries afterwards. Entry values are pure functions of their
+    /// keys, so the merged table does not depend on which candidate
+    /// computed an entry first.
+    fn design_cost_snapshot(
+        &self,
+        fragments: &[Fragment],
+        memo: &CostMemo,
+    ) -> (f64, Vec<MemoEntry>) {
+        if parinda_failpoint::should_fail("advisor::autopart_eval") {
+            // Injected fault: this candidate design looks infinitely bad, so
+            // the round keeps whatever real evaluations it has.
+            return (f64::INFINITY, Vec::new());
+        }
+        let mut total = 0.0;
+        let mut pending: Vec<usize> = Vec::new();
+        for (qi, tables) in self.qtables.iter().enumerate() {
+            let key = relevant_fragments(fragments, tables);
+            match memo.get(&(qi, key)) {
+                Some(&c) => total += c,
+                None => pending.push(qi),
             }
         }
+        if pending.is_empty() {
+            return (total, Vec::new());
+        }
+        // Evaluate the pending queries under this design in one overlay pass.
+        let (_, evaluated) = self.evaluate(fragments, &pending);
+        let mut new_entries = Vec::with_capacity(pending.len());
+        for (&qi, (cost, _)) in pending.iter().zip(evaluated) {
+            let key = relevant_fragments(fragments, &self.qtables[qi]);
+            total += cost;
+            new_entries.push(((qi, key), cost));
+        }
+        (total, new_entries)
     }
-    Evaluation { total, per_query, rewritten: rewritten_out, design }
+
+    /// Simulate a fragment set and cost `subset` of the workload under it:
+    /// per query (in subset order) the cost, and the rewritten statement
+    /// when the rewrite beats the original design's cost (otherwise the
+    /// original statement and cost stand). Also returns the simulated
+    /// partitions, named as the rewritten statements reference them.
+    fn evaluate(
+        &self,
+        fragments: &[Fragment],
+        subset: &[usize],
+    ) -> (PartitionDesign, Vec<(f64, Option<Select>)>) {
+        let whatif = WhatIfDesign::from_fragments(self.catalog, fragments);
+        // AutoPart's own plans are not counted as optimizer invocations;
+        // the console golden pins a count that excludes them.
+        let uncounted = Trace::disabled();
+        let evaluated = subset
+            .iter()
+            .map(|&i| {
+                let base = self.base_costs[i];
+                let sel = &self.workload[i];
+                match whatif.cheaper_rewrite(sel, &self.params, &self.flags, base, &uncounted) {
+                    Some((rw, p)) => (p.cost.total, Some(rw)),
+                    None => (base, None),
+                }
+            })
+            .collect();
+        (whatif.partitions, evaluated)
+    }
 }

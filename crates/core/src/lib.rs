@@ -44,7 +44,6 @@
 #![allow(missing_docs)]
 
 pub mod console;
-pub mod interactive;
 pub mod report;
 pub mod session;
 pub mod verify;

@@ -10,30 +10,28 @@
 //! * [`SessionState`] — everything one session may change without another
 //!   session noticing: thread policy, budgets, cancellation token, trace.
 //!
-//! A session that mutates metadata (DDL, materialization, `params_mut`)
-//! transparently *privatizes* its core: copy-on-write via
-//! [`Arc::make_mut`], a fresh plan cache (cached plans are functions of
-//! the metadata being changed), and a new generation id. Other sessions
-//! keep the old core untouched.
+//! A session that mutates metadata (DDL, materialization) transparently
+//! *privatizes* its core: copy-on-write via [`Arc::make_mut`], a fresh
+//! plan cache (cached plans are functions of the metadata being changed),
+//! and a new generation id. Other sessions keep the old core untouched.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parinda_advisor::{
     generate_candidates, select_indexes_greedy, select_indexes_ilp, suggest_partitions,
-    AutoPartConfig, CandidateLimits, IlpOptions, PartitionDesign, SolverConstraints,
+    AutoPartConfig, CandidateLimits, IlpOptions, PartitionDesign, SolverConstraints, WhatIfDesign,
 };
 use parinda_catalog::{Catalog, IndexId, MetadataProvider};
 use parinda_inum::{CandidateIndex, Configuration, InumModel, InumOptions, SharedPlanCache};
-use parinda_optimizer::{bind, explain, plan_query, CostParams, PlannerFlags};
+use parinda_optimizer::{bind, explain, plan_query, CostParams, PlanKind, PlanNode, PlannerFlags};
 use parinda_parallel::{Budget, BudgetReport, CancelToken, Parallelism, RunCtx};
 use parinda_sql::Select;
 use parinda_storage::Database;
 use parinda_trace::{Counter, Trace};
-use parinda_whatif::Design;
+use parinda_whatif::{Design, HypotheticalCatalog};
 
-use crate::interactive::evaluate_design;
-use crate::report::BenefitReport;
+use crate::report::{BenefitReport, QueryBenefit};
 
 /// Search technique for automatic index suggestion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -741,13 +739,6 @@ impl Parinda {
         (&mut core.catalog, &mut core.db)
     }
 
-    /// Cost parameters (mutable, like editing `postgresql.conf`).
-    /// Copy-on-write: cached plans are functions of these parameters, so
-    /// the plan cache is invalidated even if no edit follows.
-    pub fn params_mut(&mut self) -> &mut CostParams {
-        &mut self.privatize().params
-    }
-
     /// EXPLAIN a statement under the current design.
     pub fn explain_sql(&self, sql: &str) -> Result<String, ParindaError> {
         let sel = {
@@ -765,7 +756,10 @@ impl Parinda {
 
     /// EXPLAIN a statement with a per-node cost breakdown and, when
     /// `design` is non-empty, the what-if deltas under that hypothetical
-    /// design (the console's enriched `explain <query>`).
+    /// design (the console's enriched `explain <query>`). The what-if side
+    /// is the plan [`Parinda::evaluate_design`] costs: the cheaper of the
+    /// statement as written and its rewrite for the simulated partitions,
+    /// whose SQL is printed when it wins.
     pub fn explain_sql_breakdown(
         &self,
         sql: &str,
@@ -777,20 +771,32 @@ impl Parinda {
         };
         let (q, p) = self.plan_one(&sel)?;
         let base_rows = parinda_optimizer::breakdown(&p, &q, &self.core.catalog);
-        let whatif_rows = match design {
+        let (whatif_rows, rewritten) = match design {
             Some(d) if !d.is_empty() => {
                 let _s = self.state.trace.span("whatif");
-                let overlay = d.apply(&self.core.catalog)?;
-                let qh = bind(&sel, &overlay)?;
-                let ph = plan_query(&qh, &overlay, &self.core.params, &self.core.flags)?;
-                self.state.trace.count(Counter::OptimizerInvocations, 1);
-                Some(parinda_optimizer::breakdown(&ph, &qh, &overlay))
+                let (params, flags) = (&self.core.params, &self.core.flags);
+                let trace = &self.state.trace;
+                let whatif = WhatIfDesign::from_design(&self.core.catalog, d)?;
+                let overlay = &whatif.overlay;
+                let qh = bind(&sel, overlay)?;
+                let ph = plan_query(&qh, overlay, params, flags)?;
+                trace.count(Counter::OptimizerInvocations, 1);
+                match whatif.cheaper_rewrite(&sel, params, flags, ph.cost.total, trace) {
+                    Some((rw, pr)) => {
+                        let qr = bind(&rw, overlay)?;
+                        (Some(parinda_optimizer::breakdown(&pr, &qr, overlay)), Some(rw))
+                    }
+                    None => (Some(parinda_optimizer::breakdown(&ph, &qh, overlay)), None),
+                }
             }
-            _ => None,
+            _ => (None, None),
         };
         let mut out = explain(&p, &q, &self.core.catalog);
         out.push('\n');
         out.push_str(&parinda_optimizer::render_breakdown(&base_rows, whatif_rows.as_deref()));
+        if let Some(rw) = rewritten {
+            out.push_str(&format!("\nrewritten query:\n  {rw};\n"));
+        }
         Ok(out)
     }
 
@@ -819,25 +825,40 @@ impl Parinda {
     // ---------- scenario 1: interactive ----------
 
     /// Evaluate a DBA-chosen what-if design over a workload (scenario 1 /
-    /// Figure 3): per-query and average benefits, features used, rewritten
-    /// queries for partitions.
+    /// Figure 3): per-query and average benefits, features used, and the
+    /// rewritten workload (the original statement where rewriting does
+    /// not apply or does not help). After = the cheaper of the statement
+    /// as written and its rewrite for the simulated partitions, both
+    /// planned under the design.
     pub fn evaluate_design(
         &self,
         workload: &[Select],
         design: &Design,
     ) -> Result<(BenefitReport, Vec<Select>), ParindaError> {
         let _s = self.state.trace.span("whatif");
-        let r = evaluate_design(
-            &self.core.catalog,
-            &self.core.params,
-            &self.core.flags,
-            workload,
-            design,
-        )?;
-        self.state
-            .trace
-            .count(Counter::OptimizerInvocations, 2 * workload.len() as u64);
-        Ok(r)
+        let (catalog, params, flags) = (&self.core.catalog, &self.core.params, &self.core.flags);
+        let trace = &self.state.trace;
+        let whatif = WhatIfDesign::from_design(catalog, design)?;
+        let overlay = &whatif.overlay;
+        let mut per_query = Vec::with_capacity(workload.len());
+        let mut rewritten = Vec::with_capacity(workload.len());
+        for sel in workload {
+            let before = plan_query(&bind(sel, catalog)?, catalog, params, flags)?;
+            let direct = plan_query(&bind(sel, overlay)?, overlay, params, flags)?;
+            let (chosen, plan) = whatif
+                .cheaper_rewrite(sel, params, flags, direct.cost.total, trace)
+                .unwrap_or_else(|| (sel.clone(), direct));
+            per_query.push(QueryBenefit {
+                sql: sel.to_string(),
+                cost_before: before.cost.total,
+                cost_after: plan.cost.total,
+                features_used: features_used(&plan, overlay),
+            });
+            rewritten.push(chosen);
+        }
+        // the rewrites' plans were counted as they ran
+        trace.count(Counter::OptimizerInvocations, 2 * workload.len() as u64);
+        Ok((BenefitReport { per_query, design_bytes: overlay.hypothetical_bytes() }, rewritten))
     }
 
     // ---------- scenario 3: automatic index suggestion ----------
@@ -1134,8 +1155,8 @@ impl Parinda {
         let base: f64 = self.workload_cost(workload)?;
         let mut out = Vec::new();
         for idx in self.core.catalog.all_indexes().to_vec() {
-            let design = Design { drop_indexes: vec![idx.name.clone()], ..Default::default() };
-            let overlay = design.apply(&self.core.catalog)?;
+            let mut overlay = HypotheticalCatalog::new(&self.core.catalog);
+            overlay.mask_index(idx.id);
             let mut without = 0.0;
             for sel in workload {
                 let q = bind(sel, &overlay)?;
@@ -1223,4 +1244,27 @@ impl Parinda {
             budget: sugg.budget,
         })
     }
+}
+
+/// Feature attribution for one what-if plan: the hypothetical indexes it
+/// uses, then the simulated partitions it scans.
+fn features_used(plan: &PlanNode, overlay: &HypotheticalCatalog<'_>) -> Vec<String> {
+    let mut features: Vec<String> = plan
+        .indexes_used()
+        .into_iter()
+        .filter_map(|id| overlay.hypo_index(id).map(|i| i.name.clone()))
+        .collect();
+    let mut frag_tables: Vec<String> = Vec::new();
+    plan.walk(&mut |n| {
+        if let PlanKind::SeqScan { table, .. } | PlanKind::IndexScan { table, .. } = &n.kind {
+            if let Some(t) = overlay.table(*table) {
+                if t.partition_of.is_some() {
+                    frag_tables.push(t.name.clone());
+                }
+            }
+        }
+    });
+    frag_tables.dedup();
+    features.extend(frag_tables);
+    features
 }

@@ -11,8 +11,11 @@
 //!    cost (cost model monotone in relation size).
 //! 4. Every ILP benefit-matrix entry is non-negative (benefit = cost
 //!    without the index minus cost with it).
+//! 5. AutoPart's suggestion, staged as a DBA design and evaluated, costs
+//!    and rewrites every query exactly as AutoPart reported (one what-if
+//!    costing path under both scenarios).
 
-use parinda::{Parallelism, Parinda};
+use parinda::{AutoPartConfig, Parallelism, Parinda, WhatIfPartition};
 use parinda_advisor::{generate_candidates, CandidateLimits};
 use parinda_catalog::MetadataProvider;
 use parinda_inum::{CandidateIndex, Configuration, InumModel, InumOptions};
@@ -237,6 +240,33 @@ fn ilp_benefit_matrix_entries_non_negative() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Invariant 5: staging AutoPart's suggestion as a DBA design and
+/// evaluating it reproduces AutoPart's own per-query costs bit for bit,
+/// the same rewritten statements, and the same features (as sets: the
+/// two reports list them in different orders).
+#[test]
+fn staged_partition_suggestion_evaluates_identically() {
+    for (schema, mk, wl) in schemas() {
+        let session = mk();
+        let sugg = session.suggest_partitions(&wl, AutoPartConfig::default()).expect("autopart");
+        assert!(!sugg.partitions.is_empty(), "{schema}: AutoPart must partition something");
+        let mut design = Design::new();
+        for p in &sugg.partitions {
+            let cols: Vec<&str> = p.columns.iter().map(String::as_str).collect();
+            design = design.with_partition(WhatIfPartition::new(&p.name, &p.table, &cols));
+        }
+        let (report, rewritten) = session.evaluate_design(&wl, &design).expect("evaluate");
+        assert_eq!(rewritten, sugg.rewritten, "{schema}: rewritten workloads differ");
+        assert_eq!(sugg.report.per_query.len(), report.per_query.len());
+        for (qi, (a, b)) in sugg.report.per_query.iter().zip(&report.per_query).enumerate() {
+            assert_eq!(a.cost_before.to_bits(), b.cost_before.to_bits(), "{schema} Q{qi}: before");
+            assert_eq!(a.cost_after.to_bits(), b.cost_after.to_bits(), "{schema} Q{qi}: after");
+            let set = |f: &[String]| f.iter().cloned().collect::<std::collections::BTreeSet<_>>();
+            assert_eq!(set(&a.features_used), set(&b.features_used), "{schema} Q{qi}: features");
         }
     }
 }
