@@ -36,13 +36,20 @@ fi
 # One what-if costing path (DESIGN.md, "What-if costing path"): only the
 # rewriter itself and `WhatIfDesign::cheaper_rewrite` may call
 # `rewrite_select`; everything else rewrites, binds, plans and compares
-# through `WhatIfDesign`. Test code (`tests/` dirs, `#[cfg(test)]`
-# modules) is exempt.
-if find crates src -path '*/tests' -prune -o -name '*.rs' -print0 | xargs -0 awk '
+# through `WhatIfDesign`. Test code (`tests/` dirs and the body of a
+# `#[cfg(test)] mod { ... }`, tracked by brace depth) is exempt; any other
+# line after a test module is still checked.
+rewrite_gate='
+    FNR == 1 { pending = 0; skip = 0 }
     FILENAME ~ /crates\/advisor\/src\/(rewrite|whatif_design)\.rs$/ { nextfile }
-    /^#\[cfg\(test\)\]/ { nextfile }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { pending = 1; next }
+    pending && /^[[:space:]]*(#\[|\/\/)/ { next }
+    pending { pending = 0; if ($0 ~ /^[[:space:]]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+[[:space:]]*\{/) { skip = 1; depth = 0 } }
+    skip { depth += gsub(/\{/, "{"); depth -= gsub(/\}/, "}"); if (depth <= 0) skip = 0; next }
     /rewrite_select\(/ && $0 !~ /^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0; bad = 1 }
-    END { exit !bad }'; then
+    END { exit !bad }'
+if find crates src examples benchmark/src -path '*/tests' -prune -o -name '*.rs' -print0 \
+    | xargs -0 awk "$rewrite_gate"; then
     echo "rewrite_select called outside the what-if costing path: go through parinda_advisor::WhatIfDesign::cheaper_rewrite"
     exit 1
 fi

@@ -448,7 +448,7 @@ impl EvalCtx<'_> {
                 let base = self.base_costs[i];
                 let sel = &self.workload[i];
                 match whatif.cheaper_rewrite(sel, &self.params, &self.flags, base, &uncounted) {
-                    Some((rw, p)) => (p.cost.total, Some(rw)),
+                    Some((rw, _, p)) => (p.cost.total, Some(rw)),
                     None => (base, None),
                 }
             })

@@ -5,12 +5,11 @@
 //! AutoPart's candidate loop — goes through [`WhatIfDesign`].
 
 use parinda_catalog::{Catalog, MetadataProvider, TableId};
-use parinda_optimizer::{bind, plan_query, CostParams, PlanNode, PlannerFlags};
+use parinda_optimizer::{bind, plan_query, BoundQuery, CostParams, PlanNode, PlannerFlags};
 use parinda_sql::Select;
 use parinda_trace::{Counter, Trace};
 use parinda_whatif::{
-    simulate_index, simulate_partition, Design, HypotheticalCatalog, WhatIfError,
-    WhatIfPartition,
+    simulate_partition, Design, HypotheticalCatalog, WhatIfError, WhatIfPartition,
 };
 
 use crate::fragments::Fragment;
@@ -25,32 +24,25 @@ pub struct WhatIfDesign<'a> {
 }
 
 impl<'a> WhatIfDesign<'a> {
-    /// Simulate a DBA-chosen design in `Design::apply`'s order: masked
-    /// drops, then partitions, then indexes (an index may sit on a what-if
-    /// partition). It fails where `Design::apply` fails. A partition keeps
-    /// its lowercased name and the requested columns that resolve on its
-    /// table.
+    /// Simulate a DBA-chosen design with [`Design::apply`], failing where
+    /// it fails. A partition keeps its lowercased name and the requested
+    /// columns that resolve on its table.
     pub fn from_design(catalog: &'a Catalog, design: &Design) -> Result<Self, WhatIfError> {
-        let mut this = WhatIfDesign::empty(catalog);
-        for name in &design.drop_indexes {
-            let idx = catalog
-                .index_by_name(name)
-                .ok_or_else(|| WhatIfError::UnknownIndex(name.clone()))?;
-            this.overlay.mask_index(idx.id);
-        }
+        let overlay = design.apply(catalog)?;
+        let mut partitions = PartitionDesign::default();
         for p in &design.partitions {
-            let parent = this
-                .overlay
+            let parent = catalog
                 .table_by_name(&p.table)
                 .ok_or_else(|| WhatIfError::UnknownTable(p.table.clone()))?;
-            let fragment =
-                Fragment::new(parent.id, p.columns.iter().filter_map(|c| parent.column_index(c)));
-            this.simulate(p, p.name.to_ascii_lowercase(), fragment)?;
+            partitions.fragments.push(NamedFragment {
+                name: p.name.to_ascii_lowercase(),
+                fragment: Fragment::new(
+                    parent.id,
+                    p.columns.iter().filter_map(|c| parent.column_index(c)),
+                ),
+            });
         }
-        for i in &design.indexes {
-            simulate_index(&mut this.overlay, i)?;
-        }
-        Ok(this)
+        Ok(WhatIfDesign { overlay, partitions })
     }
 
     /// Simulate an advisor's fragment set, naming fragments `{table}_p{n}`.
@@ -59,7 +51,8 @@ impl<'a> WhatIfDesign<'a> {
     /// rather than fatal: the rewriter never references it and the affected
     /// queries keep their original plans — degraded, not crashed.
     pub fn from_fragments(catalog: &'a Catalog, fragments: &[Fragment]) -> Self {
-        let mut this = WhatIfDesign::empty(catalog);
+        let mut overlay = HypotheticalCatalog::new(catalog);
+        let mut partitions = PartitionDesign::default();
         let mut counters: std::collections::HashMap<TableId, usize> =
             std::collections::HashMap::new();
         for f in fragments {
@@ -76,35 +69,18 @@ impl<'a> WhatIfDesign<'a> {
                 continue;
             }
             let def = WhatIfPartition::new(name.clone(), parent.name.clone(), &cols);
-            let _ = this.simulate(&def, name, f.clone());
+            if simulate_partition(&mut overlay, &def).is_ok() {
+                partitions.fragments.push(NamedFragment { name, fragment: f.clone() });
+            }
         }
-        this
-    }
-
-    fn empty(catalog: &'a Catalog) -> Self {
-        WhatIfDesign {
-            overlay: HypotheticalCatalog::new(catalog),
-            partitions: PartitionDesign::default(),
-        }
-    }
-
-    /// Both constructors' one partition step: simulate the partition table
-    /// and, once the overlay accepts it, hand the fragment to the rewriter.
-    fn simulate(
-        &mut self,
-        def: &WhatIfPartition,
-        name: String,
-        fragment: Fragment,
-    ) -> Result<(), WhatIfError> {
-        simulate_partition(&mut self.overlay, def)?;
-        self.partitions.fragments.push(NamedFragment { name, fragment });
-        Ok(())
+        WhatIfDesign { overlay, partitions }
     }
 
     /// Rewrite `sel` for the simulated partitions, bind and plan it under
     /// the overlay, and keep the result only if it costs less than `than`.
     /// `None` when no partition is simulated, when the rewrite, bind or
-    /// plan fails, or when the rewrite is not cheaper. Every plan run is
+    /// plan fails, or when the rewrite is not cheaper. The rewritten
+    /// statement comes back with its binding and plan. Every plan run is
     /// counted in `trace`.
     pub fn cheaper_rewrite(
         &self,
@@ -113,7 +89,7 @@ impl<'a> WhatIfDesign<'a> {
         flags: &PlannerFlags,
         than: f64,
         trace: &Trace,
-    ) -> Option<(Select, PlanNode)> {
+    ) -> Option<(Select, BoundQuery, PlanNode)> {
         if self.partitions.is_empty() {
             return None;
         }
@@ -121,7 +97,7 @@ impl<'a> WhatIfDesign<'a> {
         let q = bind(&rw, &self.overlay).ok()?;
         trace.count(Counter::OptimizerInvocations, 1);
         let p = plan_query(&q, &self.overlay, params, flags).ok()?;
-        (p.cost.total < than).then_some((rw, p))
+        (p.cost.total < than).then_some((rw, q, p))
     }
 }
 
@@ -201,7 +177,7 @@ mod tests {
         assert!(none.cheaper_rewrite(&sel, &params, &flags, f64::INFINITY, &trace).is_none());
         let obj = c.table_by_name("obj").unwrap().id;
         let w = WhatIfDesign::from_fragments(&c, &[Fragment::new(obj, [1]), Fragment::new(obj, [2])]);
-        let (rw, plan) = w.cheaper_rewrite(&sel, &params, &flags, f64::INFINITY, &trace).unwrap();
+        let (rw, _, plan) = w.cheaper_rewrite(&sel, &params, &flags, f64::INFINITY, &trace).unwrap();
         assert_eq!(rw.from[0].name, "obj_p1");
         assert!(w.cheaper_rewrite(&sel, &params, &flags, plan.cost.total, &trace).is_none());
         assert_eq!(trace.snapshot().counter(Counter::OptimizerInvocations), 2);

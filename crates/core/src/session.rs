@@ -782,8 +782,7 @@ impl Parinda {
                 let ph = plan_query(&qh, overlay, params, flags)?;
                 trace.count(Counter::OptimizerInvocations, 1);
                 match whatif.cheaper_rewrite(&sel, params, flags, ph.cost.total, trace) {
-                    Some((rw, pr)) => {
-                        let qr = bind(&rw, overlay)?;
+                    Some((rw, qr, pr)) => {
                         (Some(parinda_optimizer::breakdown(&pr, &qr, overlay)), Some(rw))
                     }
                     None => (Some(parinda_optimizer::breakdown(&ph, &qh, overlay)), None),
@@ -845,9 +844,10 @@ impl Parinda {
         for sel in workload {
             let before = plan_query(&bind(sel, catalog)?, catalog, params, flags)?;
             let direct = plan_query(&bind(sel, overlay)?, overlay, params, flags)?;
-            let (chosen, plan) = whatif
-                .cheaper_rewrite(sel, params, flags, direct.cost.total, trace)
-                .unwrap_or_else(|| (sel.clone(), direct));
+            let (chosen, plan) = match whatif.cheaper_rewrite(sel, params, flags, direct.cost.total, trace) {
+                Some((rw, _, p)) => (rw, p),
+                None => (sel.clone(), direct),
+            };
             per_query.push(QueryBenefit {
                 sql: sel.to_string(),
                 cost_before: before.cost.total,
@@ -1155,8 +1155,8 @@ impl Parinda {
         let base: f64 = self.workload_cost(workload)?;
         let mut out = Vec::new();
         for idx in self.core.catalog.all_indexes().to_vec() {
-            let mut overlay = HypotheticalCatalog::new(&self.core.catalog);
-            overlay.mask_index(idx.id);
+            let design = Design { drop_indexes: vec![idx.name.clone()], ..Default::default() };
+            let overlay = design.apply(&self.core.catalog)?;
             let mut without = 0.0;
             for sel in workload {
                 let q = bind(sel, &overlay)?;
