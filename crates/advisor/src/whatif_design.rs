@@ -142,20 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn from_design_rejects_what_apply_rejects() {
-        let c = catalog();
-        for design in [
-            Design::new().with_drop("ghost"),
-            Design::new().with_partition(WhatIfPartition::new("p", "ghost", &["a"])),
-            Design::new().with_partition(WhatIfPartition::new("p", "obj", &["zz"])),
-            Design::new().with_index(WhatIfIndex::new("w", "obj", &["zz"])),
-        ] {
-            assert!(design.apply(&c).is_err());
-            assert!(WhatIfDesign::from_design(&c, &design).is_err(), "{design:?}");
-        }
-    }
-
-    #[test]
     fn from_fragments_skips_stale_fragments_and_numbers_per_table() {
         let c = catalog();
         let obj = c.table_by_name("obj").unwrap().id;

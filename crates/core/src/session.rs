@@ -844,7 +844,8 @@ impl Parinda {
         for sel in workload {
             let before = plan_query(&bind(sel, catalog)?, catalog, params, flags)?;
             let direct = plan_query(&bind(sel, overlay)?, overlay, params, flags)?;
-            let (chosen, plan) = match whatif.cheaper_rewrite(sel, params, flags, direct.cost.total, trace) {
+            let rewrite = whatif.cheaper_rewrite(sel, params, flags, direct.cost.total, trace);
+            let (chosen, plan) = match rewrite {
                 Some((rw, _, p)) => (rw, p),
                 None => (sel.clone(), direct),
             };
