@@ -53,6 +53,23 @@ if find crates src examples benchmark/src -path '*/tests' -prune -o -name '*.rs'
     echo "rewrite_select called outside the what-if costing path: go through parinda_advisor::WhatIfDesign::cheaper_rewrite"
     exit 1
 fi
+# No dead public API: rustc does not warn about an unused `pub fn` across
+# crates, so list every `pub fn` under crates/ and src/ whose name occurs
+# exactly once (its own definition) in crates/, src/, tests/, examples/
+# and benchmark/src/. `//` comments (doc comments and intra-doc links
+# included) are dropped before counting, so a mention there is not a use;
+# a name inside a string literal still counts. The lint fixture corpus is
+# test data, not code.
+ident_once="$(find crates src tests examples benchmark/src -path '*/fixtures' -prune -o -name '*.rs' -print0 \
+    | xargs -0 sed -E 's://.*$::' | grep -oE '\b[A-Za-z_][A-Za-z0-9_]*\b' \
+    | sort | uniq -c | awk '$1 == 1 { print $2 }')"
+if grep -rnE --include='*.rs' --exclude-dir=fixtures 'pub fn [A-Za-z_][A-Za-z0-9_]*' crates src \
+    | sed -E 's/^([^:]*:[0-9]+):.*pub fn ([A-Za-z_][A-Za-z0-9_]*).*/\2 \1/' \
+    | awk 'NR == FNR { once[$1] = 1; next } ($1 in once) { print $2 ": pub fn " $1; bad = 1 } END { exit !bad }' \
+        <(printf '%s\n' "$ident_once") -; then
+    echo "pub fn referenced nowhere: delete it (or use it)"
+    exit 1
+fi
 
 echo "==> tier-1: tests (whole workspace; includes the lint fixture corpus)"
 cargo test -q --workspace

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use parinda_catalog::MetadataProvider;
+use parinda_catalog::{MetadataProvider, TableId};
 use parinda_sql::ast::{ColumnRef, Expr, Select, SelectItem, TableRef};
 use parinda_sql::BinOp;
 
@@ -68,31 +68,32 @@ impl std::fmt::Display for RewriteError {
 
 impl std::error::Error for RewriteError {}
 
-/// Rewrite `select` against a partition design. Returns the rewritten
-/// statement (identical to the input when no referenced table is
-/// partitioned).
-pub fn rewrite_select(
+/// One FROM entry of a statement, resolved against the base tables: its
+/// binding, its table, and the column positions the statement reads of it.
+#[derive(Debug)]
+pub(crate) struct RelColumns {
+    /// Lowercased alias (or table name) the statement refers to it by.
+    pub binding: String,
+    pub table_name: String,
+    pub table: TableId,
+    /// Every column position used in any clause (`*` uses them all).
+    pub used: BTreeSet<usize>,
+}
+
+/// Resolve `select`'s FROM list and gather the columns it reads of each
+/// entry. This is the rewriter's first step; it reads only base-table
+/// metadata, so a caller can do it once and compute covers for many
+/// designs with [`fragment_cover`].
+pub(crate) fn used_columns(
     select: &Select,
     meta: &dyn MetadataProvider,
-    design: &PartitionDesign,
-) -> Result<Select, RewriteError> {
-    if parinda_failpoint::should_fail("advisor::rewrite") {
-        // Injected fault: callers fall back to the original statement.
-        return Err(RewriteError::UnknownTable("failpoint advisor::rewrite".to_string()));
-    }
-    // Resolve the FROM list.
-    struct RelInfo {
-        binding: String,
-        table_name: String,
-        table: parinda_catalog::TableId,
-        used: BTreeSet<usize>,
-    }
-    let mut rels: Vec<RelInfo> = Vec::new();
+) -> Result<Vec<RelColumns>, RewriteError> {
+    let mut rels: Vec<RelColumns> = Vec::new();
     for tr in &select.from {
         let t = meta
             .table_by_name(&tr.name)
             .ok_or_else(|| RewriteError::UnknownTable(tr.name.clone()))?;
-        rels.push(RelInfo {
+        rels.push(RelColumns {
             binding: tr.binding().to_ascii_lowercase(),
             table_name: t.name.clone(),
             table: t.id,
@@ -100,47 +101,13 @@ pub fn rewrite_select(
         });
     }
 
-    // Resolve a column ref to (rel position, column position).
-    let resolve = |c: &ColumnRef, rels: &[RelInfo]| -> Result<(usize, usize), RewriteError> {
-        match &c.table {
-            Some(q) => {
-                let ql = q.to_ascii_lowercase();
-                let ri = rels
-                    .iter()
-                    .position(|r| r.binding == ql)
-                    .ok_or_else(|| RewriteError::UnknownTable(ql.clone()))?;
-                let t = meta
-                    .table(rels[ri].table)
-                    .ok_or_else(|| RewriteError::UnknownTable(rels[ri].table_name.clone()))?;
-                let ci = t
-                    .column_index(&c.column)
-                    .ok_or_else(|| RewriteError::UnknownColumn(c.column.clone()))?;
-                Ok((ri, ci))
-            }
-            None => {
-                let mut hit = None;
-                for (ri, r) in rels.iter().enumerate() {
-                    let Some(t) = meta.table(r.table) else { continue };
-                    if let Some(ci) = t.column_index(&c.column) {
-                        if hit.is_some() {
-                            return Err(RewriteError::AmbiguousColumn(c.column.clone()));
-                        }
-                        hit = Some((ri, ci));
-                    }
-                }
-                hit.ok_or_else(|| RewriteError::UnknownColumn(c.column.clone()))
-            }
-        }
-    };
-
-    // Gather used columns.
-    let collect = |e: &Expr, rels: &mut Vec<RelInfo>| -> Result<(), RewriteError> {
+    let collect = |e: &Expr, rels: &mut Vec<RelColumns>| -> Result<(), RewriteError> {
         let mut err = None;
         e.visit_columns(&mut |c| {
             if err.is_some() {
                 return;
             }
-            match resolve(c, rels) {
+            match resolve_column(c, rels, meta) {
                 Ok((ri, ci)) => {
                     rels[ri].used.insert(ci);
                 }
@@ -188,6 +155,93 @@ pub fn rewrite_select(
     for o in &select.order_by {
         collect(&o.expr, &mut rels)?;
     }
+    Ok(rels)
+}
+
+/// Resolve a column ref to (rel position, column position).
+fn resolve_column(
+    c: &ColumnRef,
+    rels: &[RelColumns],
+    meta: &dyn MetadataProvider,
+) -> Result<(usize, usize), RewriteError> {
+    match &c.table {
+        Some(q) => {
+            let ql = q.to_ascii_lowercase();
+            let ri = rels
+                .iter()
+                .position(|r| r.binding == ql)
+                .ok_or_else(|| RewriteError::UnknownTable(ql.clone()))?;
+            let t = meta
+                .table(rels[ri].table)
+                .ok_or_else(|| RewriteError::UnknownTable(rels[ri].table_name.clone()))?;
+            let ci = t
+                .column_index(&c.column)
+                .ok_or_else(|| RewriteError::UnknownColumn(c.column.clone()))?;
+            Ok((ri, ci))
+        }
+        None => {
+            let mut hit = None;
+            for (ri, r) in rels.iter().enumerate() {
+                let Some(t) = meta.table(r.table) else { continue };
+                if let Some(ci) = t.column_index(&c.column) {
+                    if hit.is_some() {
+                        return Err(RewriteError::AmbiguousColumn(c.column.clone()));
+                    }
+                    hit = Some((ri, ci));
+                }
+            }
+            hit.ok_or_else(|| RewriteError::UnknownColumn(c.column.clone()))
+        }
+    }
+}
+
+/// The fragments a rewrite of one relation reads: a greedy set cover of
+/// the `used` columns outside the primary key `pk`, over one table's
+/// fragments `frags` in design order. Each step takes the fragment that
+/// covers the most still-uncovered columns; a tie goes to the last such
+/// fragment. A relation that uses only PK columns reads `frags[0]`.
+/// Returns positions into `frags` in the order the rewrite joins them, or
+/// the smallest column no fragment covers. `frags` must be non-empty.
+pub(crate) fn fragment_cover(
+    frags: &[&Fragment],
+    pk: &[usize],
+    used: &BTreeSet<usize>,
+) -> Result<Vec<usize>, usize> {
+    let mut uncovered: BTreeSet<usize> =
+        used.iter().copied().filter(|c| !pk.contains(c)).collect();
+    let mut chosen: Vec<usize> = Vec::new();
+    while let Some(&first) = uncovered.iter().next() {
+        // a chosen fragment covers nothing still uncovered, so it never
+        // wins while the maximum is positive
+        let gain = |i: usize| frags[i].columns.intersection(&uncovered).count();
+        match (0..frags.len()).max_by_key(|&i| gain(i)) {
+            Some(i) if gain(i) > 0 => {
+                uncovered.retain(|c| !frags[i].columns.contains(c));
+                chosen.push(i);
+            }
+            _ => return Err(first),
+        }
+    }
+    if chosen.is_empty() {
+        // query touches only the PK: any fragment will do
+        chosen.push(0);
+    }
+    Ok(chosen)
+}
+
+/// Rewrite `select` against a partition design. Returns the rewritten
+/// statement (identical to the input when no referenced table is
+/// partitioned).
+pub fn rewrite_select(
+    select: &Select,
+    meta: &dyn MetadataProvider,
+    design: &PartitionDesign,
+) -> Result<Select, RewriteError> {
+    if parinda_failpoint::should_fail("advisor::rewrite") {
+        // Injected fault: callers fall back to the original statement.
+        return Err(RewriteError::UnknownTable("failpoint advisor::rewrite".to_string()));
+    }
+    let rels = used_columns(select, meta)?;
 
     // Plan the replacement per rel.
     struct Replacement {
@@ -209,45 +263,14 @@ pub fn rewrite_select(
             .table(r.table)
             .ok_or_else(|| RewriteError::UnknownTable(r.table_name.clone()))?;
         let pk: Vec<usize> = parent.primary_key.clone();
-        // Needed columns beyond the PK (every fragment carries the PK).
-        let needed: BTreeSet<usize> =
-            r.used.iter().copied().filter(|c| !pk.contains(c)).collect();
-
-        // Greedy set cover over fragments.
-        let mut uncovered = needed.clone();
-        let mut chosen: Vec<&NamedFragment> = Vec::new();
-        while !uncovered.is_empty() {
-            let best = frags
-                .iter()
-                .filter(|f| !chosen.iter().any(|c| c.name == f.name))
-                .max_by_key(|f| f.fragment.columns.intersection(&uncovered).count());
-            match best {
-                Some(f) if f.fragment.columns.intersection(&uncovered).count() > 0 => {
-                    for c in f.fragment.columns.intersection(&uncovered.clone()) {
-                        uncovered.remove(c);
-                    }
-                    chosen.push(f);
-                }
-                _ => {
-                    // The loop guard says `uncovered` is non-empty; name
-                    // the first uncovered column if it still exists.
-                    let column = uncovered
-                        .iter()
-                        .next()
-                        .and_then(|&c| parent.columns.get(c))
-                        .map(|c| c.name.clone())
-                        .unwrap_or_else(|| "?".to_string());
-                    return Err(RewriteError::NotCoverable {
-                        table: r.table_name.clone(),
-                        column,
-                    });
-                }
+        let of_table: Vec<&Fragment> = frags.iter().map(|f| &f.fragment).collect();
+        let chosen: Vec<&NamedFragment> = match fragment_cover(&of_table, &pk, &r.used) {
+            Ok(positions) => positions.into_iter().map(|i| frags[i]).collect(),
+            Err(c) => {
+                let column = parent.columns.get(c).map_or("?", |c| c.name.as_str()).to_string();
+                return Err(RewriteError::NotCoverable { table: r.table_name.clone(), column });
             }
-        }
-        if chosen.is_empty() {
-            // query touches only the PK: any fragment will do
-            chosen.push(frags[0]);
-        }
+        };
 
         // FROM entries: first fragment takes the original binding.
         let mut from = Vec::new();
@@ -291,7 +314,7 @@ pub fn rewrite_select(
 
     // Column mapper: re-qualify refs of partitioned rels.
     let map_ref = |c: &ColumnRef| -> Result<ColumnRef, RewriteError> {
-        let (ri, ci) = resolve(c, &rels)?;
+        let (ri, ci) = resolve_column(c, &rels, meta)?;
         match &replacements[ri] {
             None => Ok(c.clone()),
             Some(rep) => {
@@ -415,4 +438,116 @@ where
             distinct: *distinct,
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parinda_catalog::{Catalog, Column, SqlType};
+    use parinda_sql::parse_select;
+
+    fn catalog() -> (Catalog, TableId) {
+        let mut c = Catalog::new();
+        let t = c.create_table(
+            "obj",
+            vec![
+                Column::new("id", SqlType::Int8).not_null(),
+                Column::new("ra", SqlType::Float8).not_null(),
+                Column::new("dec", SqlType::Float8).not_null(),
+                Column::new("rmag", SqlType::Float8).not_null(),
+                Column::new("gmag", SqlType::Float8).not_null(),
+            ],
+            100_000,
+        );
+        c.table_mut(t).unwrap().primary_key = vec![0];
+        c.create_table("band", vec![Column::new("name", SqlType::Int4).not_null()], 5);
+        (c, t)
+    }
+
+    fn design(t: TableId, frags: &[&[usize]]) -> PartitionDesign {
+        PartitionDesign {
+            fragments: frags
+                .iter()
+                .enumerate()
+                .map(|(i, cols)| NamedFragment {
+                    name: format!("obj_p{}", i + 1),
+                    fragment: Fragment::new(t, cols.iter().copied()),
+                })
+                .collect(),
+        }
+    }
+
+    /// The FROM list `fragment_cover` predicts for a rewrite, or the
+    /// column it cannot cover.
+    fn covered_from(c: &Catalog, sql: &str, d: &PartitionDesign) -> Result<Vec<String>, usize> {
+        let sel = parse_select(sql).unwrap();
+        let mut from = Vec::new();
+        for (r, tr) in used_columns(&sel, c).unwrap().iter().zip(&sel.from) {
+            let frags = d.fragments_for(r.table);
+            if frags.is_empty() {
+                from.push(tr.name.clone());
+                continue;
+            }
+            let of_table: Vec<&Fragment> = frags.iter().map(|f| &f.fragment).collect();
+            let pk = &c.table(r.table).unwrap().primary_key;
+            let chosen = fragment_cover(&of_table, pk, &r.used)?;
+            from.extend(chosen.into_iter().map(|i| frags[i].name.clone()));
+        }
+        Ok(from)
+    }
+
+    /// The cover and the rewriter agree; returns the FROM list.
+    fn agreed_from(c: &Catalog, sql: &str, d: &PartitionDesign) -> Vec<String> {
+        let rw = rewrite_select(&parse_select(sql).unwrap(), c, d).unwrap();
+        let from: Vec<String> = rw.from.iter().map(|t| t.name.clone()).collect();
+        assert_eq!(covered_from(c, sql, d), Ok(from.clone()), "{sql}");
+        from
+    }
+
+    #[test]
+    fn cover_reproduces_the_rewriters_from_list() {
+        let (c, t) = catalog();
+        let d = design(t, &[&[1, 2], &[3, 4]]);
+        assert_eq!(agreed_from(&c, "SELECT ra, dec FROM obj WHERE id = 7", &d), ["obj_p1"]);
+        let d = design(t, &[&[1, 2], &[3]]);
+        assert_eq!(
+            agreed_from(&c, "SELECT ra, rmag FROM obj WHERE dec > 0.0", &d),
+            ["obj_p1", "obj_p2"]
+        );
+        assert_eq!(
+            agreed_from(&c, "SELECT o.ra, b.name FROM obj o, band b WHERE o.id = b.name", &d),
+            ["obj_p1", "band"]
+        );
+        let none = PartitionDesign::default();
+        assert_eq!(agreed_from(&c, "SELECT ra FROM obj WHERE rmag = 1", &none), ["obj"]);
+    }
+
+    #[test]
+    fn cover_tie_goes_to_the_last_maximum() {
+        let (c, t) = catalog();
+        // each fragment covers one of the two columns: the later one leads
+        let d = design(t, &[&[1], &[3], &[4]]);
+        assert_eq!(agreed_from(&c, "SELECT ra, rmag FROM obj", &d), ["obj_p2", "obj_p1"]);
+        // a strictly larger intersection still wins from anywhere
+        let d = design(t, &[&[1, 3], &[1], &[3]]);
+        assert_eq!(agreed_from(&c, "SELECT ra, rmag FROM obj", &d), ["obj_p1"]);
+    }
+
+    #[test]
+    fn cover_of_a_pk_only_query_is_the_first_fragment() {
+        let (c, t) = catalog();
+        let d = design(t, &[&[3], &[1, 2]]);
+        assert_eq!(agreed_from(&c, "SELECT id FROM obj WHERE id = 3", &d), ["obj_p1"]);
+    }
+
+    #[test]
+    fn cover_names_the_uncoverable_column() {
+        let (c, t) = catalog();
+        let d = design(t, &[&[1], &[2]]);
+        let sql = "SELECT ra, gmag, rmag FROM obj";
+        assert_eq!(covered_from(&c, sql, &d), Err(3));
+        let err = rewrite_select(&parse_select(sql).unwrap(), &c, &d).unwrap_err();
+        let expected = RewriteError::NotCoverable { table: "obj".into(), column: "rmag".into() };
+        assert_eq!(err, expected);
+    }
 }

@@ -74,16 +74,6 @@ impl Table {
         self.column_index(name).map(|i| &self.columns[i])
     }
 
-    /// Average heap tuple width in bytes (data portion + header).
-    pub fn avg_tuple_size(&self) -> f64 {
-        layout::avg_heap_tuple_size(&self.columns)
-    }
-
-    /// Average *data* width of a row (planner "width" of `SELECT *`).
-    pub fn avg_row_width(&self) -> f64 {
-        layout::avg_columns_size(&self.columns)
-    }
-
     /// Recompute `pages` from the current shape and row count.
     pub fn recompute_pages(&mut self) {
         self.pages = layout::heap_pages(self.row_count, &self.columns);

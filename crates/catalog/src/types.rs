@@ -99,21 +99,6 @@ impl SqlType {
         }
     }
 
-    /// Whether the type stores numeric values (used by histogram builders).
-    #[inline]
-    pub fn is_numeric(self) -> bool {
-        matches!(
-            self,
-            SqlType::Int2
-                | SqlType::Int4
-                | SqlType::Int8
-                | SqlType::Float4
-                | SqlType::Float8
-                | SqlType::Date
-                | SqlType::Timestamp
-        )
-    }
-
     /// Average stored size given the column's average logical width.
     ///
     /// For fixed types this ignores `avg_width`; for varlena types it adds

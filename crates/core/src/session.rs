@@ -340,8 +340,6 @@ struct EngineCore {
     db: Database,
     params: CostParams,
     flags: PlannerFlags,
-    /// Thread-count policy new sessions start with.
-    default_par: Parallelism,
     /// Engine-wide admission-control cap on per-request wall-clock
     /// budgets: each advisor call runs under
     /// `min(session budget, this cap)`. `None` (the default) leaves
@@ -361,7 +359,6 @@ impl EngineCore {
             db: Database::new(),
             params: CostParams::default(),
             flags: PlannerFlags::default(),
-            default_par: Parallelism::auto(),
             max_budget_ms: None,
             generation: next_generation(),
             plan_cache: Arc::new(SharedPlanCache::new()),
@@ -393,9 +390,9 @@ pub struct SessionState {
 }
 
 impl SessionState {
-    fn fresh(par: Parallelism) -> SessionState {
+    fn fresh() -> SessionState {
         SessionState {
-            par,
+            par: Parallelism::auto(),
             budget_ms: None,
             budget_rounds: None,
             cancel: CancelToken::new(),
@@ -442,14 +439,6 @@ impl SharedEngine {
         SharedEngine { core: session.core }
     }
 
-    /// Builder: thread-count policy handed to fresh sessions. Tuning
-    /// knobs never invalidate the plan cache — results are identical at
-    /// any thread count.
-    pub fn with_default_parallelism(mut self, par: Parallelism) -> SharedEngine {
-        Arc::make_mut(&mut self.core).default_par = par;
-        self
-    }
-
     /// Builder: engine-wide wall-clock budget cap per advisor call
     /// (admission control). Each request runs under
     /// `min(session budget, cap)`; `None` removes the cap.
@@ -462,7 +451,7 @@ impl SharedEngine {
     pub fn session(&self) -> Parinda {
         Parinda {
             core: Arc::clone(&self.core),
-            state: SessionState::fresh(self.core.default_par),
+            state: SessionState::fresh(),
         }
     }
 
@@ -512,7 +501,7 @@ impl Parinda {
     /// The session owns its core, so mutation never copies.
     pub fn new(catalog: Catalog) -> Self {
         let core = EngineCore::new(catalog);
-        let state = SessionState::fresh(core.default_par);
+        let state = SessionState::fresh();
         Parinda { core: Arc::new(core), state }
     }
 
@@ -587,12 +576,6 @@ impl Parinda {
     /// wires each session to the token its signal source flips).
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.state.cancel = token;
-    }
-
-    /// Request cancellation of the advisor call in flight (or the next
-    /// one, if none is running).
-    pub fn request_cancel(&self) {
-        self.state.cancel.cancel();
     }
 
     /// The session's observability handle (disabled unless a frontend

@@ -39,7 +39,7 @@ pub const SITES: &[&str] = &[
     "inum::plan_case",         // INUM per-configuration plan construction during cache build
     "inum::access_cost",       // INUM cached access-cost lookup for one (query, index) pair
     "advisor::benefit_cell",   // one cell of the ILP benefit matrix
-    "advisor::autopart_eval",  // AutoPart per-candidate costing against the frozen memo
+    "advisor::autopart_eval",  // AutoPart per-candidate costing against the round's memo
     "advisor::rewrite",        // query rewriting against a fragmented schema
     "solver::relax",           // LP relaxation of one branch-and-bound node
     "solver::simplex",         // one simplex solve

@@ -17,9 +17,7 @@ use crate::cost::{
 };
 use crate::params::{CostParams, PlannerFlags, DISABLE_COST};
 use crate::plan::{Cost, IndexRange, JoinKey, PlanKind, PlanNode, PosKey};
-use crate::query::{
-    BoundOutput, BoundQuery, Restriction, RestrictionShape, Slot, SortKey,
-};
+use crate::query::{BoundOutput, BoundQuery, Restriction, RestrictionShape, Slot};
 use crate::selectivity::{
     eqjoin_selectivity, restriction_selectivity,
 };
@@ -987,12 +985,6 @@ enum OutputSpace {
 /// Output slots of a join of two plans.
 fn join_output(outer: &PlanNode, inner: &PlanNode) -> Vec<Slot> {
     outer.output.iter().chain(&inner.output).copied().collect()
-}
-
-/// Convert ORDER BY sort keys into the planner's slot-order form (ascending
-/// prefix only).
-pub fn ascending_prefix(keys: &[SortKey]) -> Vec<Slot> {
-    keys.iter().take_while(|k| !k.desc).map(|k| k.slot).collect()
 }
 
 /// Public helper for INUM and the advisors: generate all scan paths for a

@@ -245,11 +245,6 @@ impl BoundQuery {
     pub fn restrictions_on(&self, rel: usize) -> Vec<&Restriction> {
         self.restrictions.iter().filter(|r| r.rel == rel).collect()
     }
-
-    /// Bitmask with one bit per rel.
-    pub fn all_rels_mask(&self) -> u64 {
-        (1u64 << self.rels.len()) - 1
-    }
 }
 
 #[cfg(test)]

@@ -279,28 +279,6 @@ pub struct Select {
     pub limit: Option<u64>,
 }
 
-impl Select {
-    /// All column references in every clause of the statement.
-    pub fn all_column_refs(&self) -> Vec<&ColumnRef> {
-        let mut out = Vec::new();
-        for item in &self.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                expr.visit_columns(&mut |c| out.push(c));
-            }
-        }
-        if let Some(w) = &self.where_clause {
-            w.visit_columns(&mut |c| out.push(c));
-        }
-        for e in &self.group_by {
-            e.visit_columns(&mut |c| out.push(c));
-        }
-        for o in &self.order_by {
-            o.expr.visit_columns(&mut |c| out.push(c));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
